@@ -1,19 +1,24 @@
-# Verify tiers. Tier 1 is the seed contract (ROADMAP.md); the race
-# tier vets and race-checks the concurrent retry/reconnect/degradation
-# code at reduced test sizes (-short skips the long experiment sweeps)
-# and smoke-fuzzes the wire decoders (frame, JGR1 gradient, the JOIN
-# admit payload, the checkpoint migration stream, the REPL replica
-# snapshot, and the SERVE inference micro-batch) so every verify run
-# spends a few seconds hunting parser panics beyond the seeded corpus.
+# Verify tiers. Tier 1 is the seed contract (ROADMAP.md) plus the
+# benchmark module (vet + its -short tests), so renaming a symbol that
+# benchmark/README.md pins fails here and not at the next benchmark
+# build. The race tier vets and race-checks the concurrent
+# retry/reconnect/degradation code at reduced test sizes (-short skips
+# the long experiment sweeps), race-checks the benchmark's harness, and
+# smoke-fuzzes the wire decoders (frame, JGR1 gradient, the JOIN admit
+# payload, the checkpoint migration stream, the REPL replica snapshot,
+# and the SERVE inference micro-batch) so every verify run spends a few
+# seconds hunting parser panics beyond the seeded corpus.
 .PHONY: verify tier1 race fuzz cover bench
 
 verify: tier1 race
 
 tier1:
 	go build ./... && go test ./...
+	cd benchmark && go vet ./... && go test -short ./...
 
 race: fuzz
 	go vet ./... && go test -race -short ./...
+	cd benchmark && go test -race -short ./...
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport
@@ -34,19 +39,8 @@ cover:
 		./internal/checkpoint \
 		./internal/metrics
 
-# Record the performance trajectory: run the micro-benchmarks (fabric
-# admission/reallocation and the 32–4096-machine scaling curve, tensor
-# kernels, transport framing, livecluster iteration, lockstep-vs-
-# pipelined training) and write them as JSON. The Seed/Oracle variants
-# pin the pre-optimization code paths, the A2AScale/AdmissionScale
-# *Hier points carry the hierarchical allocator's curve, and the
-# TrainLockstep*/TrainPipelined* pairs (loopback and 100µs-RTT) carry
-# the cross-step pipeline's steps/sec ratio, so the speedups are in the
-# file.
+# The repository's one performance record: every workload of
+# BENCHMARK.json, ten seeds each (~20 min); benchmark/README.md names
+# the metrics and says how to compare two result files.
 bench:
-	go test -run '^$$' -bench . -benchmem \
-		./internal/fabric \
-		./internal/tensor \
-		./internal/transport \
-		./internal/livecluster \
-		| tee /dev/stderr | go run ./cmd/benchjson -baseline BENCH_5.json > BENCH_6.json
+	bash benchmark/run.sh -out .bench_build/out

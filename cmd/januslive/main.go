@@ -139,6 +139,12 @@ func run() int {
 	if *failPermanent {
 		*killTo = 0 // permanent means the server never comes back
 	}
+	// A drill aimed past the last machine matches no endpoint label: it
+	// would inject nothing and report a clean run.
+	if m := max(*killMachine, *partMachine, *slowMachine, *joinSeed); m >= *machines {
+		fmt.Fprintf(os.Stderr, "januslive: no machine %d to kill, partition, slow or join through (-machines %d)\n", m, *machines)
+		return 2
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

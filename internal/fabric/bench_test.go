@@ -82,7 +82,8 @@ func (t *benchTopo) sparseA2ASpecs(round, fanout int, size float64) []FlowSpec {
 }
 
 // runRounds drives `rounds` back-to-back shuffles (each admitted when
-// the previous drains) and runs the simulation dry.
+// the previous drains) and runs the simulation dry. A spec's own
+// OnComplete still runs, ahead of the round bookkeeping.
 func runRounds(t *benchTopo, rounds int, specsFor func(r int) []FlowSpec) {
 	var kick func(r int)
 	kick = func(r int) {
@@ -92,7 +93,11 @@ func runRounds(t *benchTopo, rounds int, specsFor func(r int) []FlowSpec) {
 		specs := specsFor(r)
 		left := len(specs)
 		for i := range specs {
-			specs[i].OnComplete = func(*Flow) {
+			own := specs[i].OnComplete
+			specs[i].OnComplete = func(f *Flow) {
+				if own != nil {
+					own(f)
+				}
 				left--
 				if left == 0 {
 					kick(r + 1)
@@ -105,45 +110,40 @@ func runRounds(t *benchTopo, rounds int, specsFor func(r int) []FlowSpec) {
 	t.eng.Run()
 }
 
-// runA2ARounds is runRounds over the dense All-to-All shape.
-func runA2ARounds(t *benchTopo, rounds int, size float64) {
-	runRounds(t, rounds, func(r int) []FlowSpec { return t.allToAllSpecs(r, size) })
-}
-
-// benchmarkAllToAll measures a 32-machine All-to-All-heavy simulation
-// in the given allocation mode. ModeOracle is the retained seed
-// allocator (full rescans per settle), so the Incremental/Oracle ratio
-// is the ISSUE 3 speedup figure.
-func benchmarkAllToAll(b *testing.B, machines int, mode AllocMode) {
+// BenchmarkAllToAll32Incremental measures a 32-machine
+// All-to-All-heavy simulation: four dense rounds on 8 trunks.
+func BenchmarkAllToAll32Incremental(b *testing.B) {
 	b.ReportAllocs()
-	b.ReportMetric(float64(machines), "machines")
 	for i := 0; i < b.N; i++ {
-		t := newBenchTopo(machines, 8, mode)
-		runA2ARounds(t, 4, 1e6)
+		t := newBenchTopo(32, 8, ModeIncremental)
+		runRounds(t, 4, func(r int) []FlowSpec { return t.allToAllSpecs(r, 1e6) })
 	}
 }
 
-func BenchmarkAllToAll32Incremental(b *testing.B) { benchmarkAllToAll(b, 32, ModeIncremental) }
-func BenchmarkAllToAll32Oracle(b *testing.B)      { benchmarkAllToAll(b, 32, ModeOracle) }
+// runA2AScale is the scaling-curve workload: two rounds of sparse
+// All-to-All (8 peers per machine, the hierarchical shape), core trunks
+// scaled with the cluster. onComplete, if not nil, sees every flow.
+func runA2AScale(machines int, mode AllocMode, onComplete func(*Flow)) *benchTopo {
+	t := newBenchTopo(machines, max(machines/4, 8), mode)
+	runRounds(t, 2, func(r int) []FlowSpec {
+		specs := t.sparseA2ASpecs(r, 8, 1e6)
+		for i := range specs {
+			specs[i].OnComplete = onComplete
+		}
+		return specs
+	})
+	return t
+}
 
-// benchmarkA2AScale is the scaling-curve workload: sparse All-to-All
-// (8 peers per machine, the hierarchical shape) at 32–4096 machines,
-// core trunks scaled with the cluster. The "machines" and "allocmode"
-// metrics ride into BENCH_6.json so the curve is machine-readable per
-// allocator; the Oracle allocator is deliberately absent at the large
-// sizes — it is O(flows²) per settle and exists only as the 32-machine
-// ratio baseline.
+// benchmarkA2AScale runs the curve at 32–4096 machines. Until the
+// benchmark has probe rows for it, this is where the 1024/4096-machine
+// points are read: go test -run '^$' -bench Scale ./internal/fabric.
+// The count that keeps the hierarchical points fast is gated by
+// TestHierScopingHoldsAtScale, not by wall-clock.
 func benchmarkA2AScale(b *testing.B, machines int, mode AllocMode) {
 	b.ReportAllocs()
-	b.ReportMetric(float64(machines), "machines")
-	b.ReportMetric(float64(mode), "allocmode")
-	trunks := machines / 4
-	if trunks < 8 {
-		trunks = 8
-	}
 	for i := 0; i < b.N; i++ {
-		t := newBenchTopo(machines, trunks, mode)
-		runRounds(t, 2, func(r int) []FlowSpec { return t.sparseA2ASpecs(r, 8, 1e6) })
+		runA2AScale(machines, mode, nil)
 	}
 }
 
@@ -155,7 +155,7 @@ func BenchmarkA2AScale256Hier(b *testing.B) { benchmarkA2AScale(b, 256, ModeHier
 // BenchmarkA2AScale1024 is the incremental allocator's superlinear
 // wall: ~8k staggered flows per round fused into one component by the
 // shared trunks, ~20s per iteration, so the CI smoke tier (-short)
-// keeps to 256 and `make bench` records the full curve.
+// keeps to 256.
 func BenchmarkA2AScale1024(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1024-machine A2A on the incremental allocator is ~20s/op; the -short curve tops out at 256")
@@ -166,55 +166,15 @@ func BenchmarkA2AScale1024(b *testing.B) {
 // The hierarchical allocator's headline points: the same 1024-machine
 // workload it must beat ≥100× (ISSUE 9), and the 4096-machine
 // extension that should land within ~8× of the 1024 point
-// (near-linear). Both are cheap enough to run in the -short CI smoke,
-// which is how the scaling-curve artifact carries them.
+// (near-linear). Both are cheap enough to run in the -short CI smoke.
 func BenchmarkA2AScale1024Hier(b *testing.B) { benchmarkA2AScale(b, 1024, ModeHierarchical) }
 func BenchmarkA2AScale4096Hier(b *testing.B) { benchmarkA2AScale(b, 4096, ModeHierarchical) }
 
-// BenchmarkAllToAll32Seed reproduces the pre-optimization code path
-// exactly: the naive allocator AND per-flow admission, each StartFlowEff
-// triggering its own full reallocation — what every caller did before
-// batched StartFlows existed. Incremental/Seed is the end-to-end
-// speedup of this PR on the All-to-All-heavy workload.
-func BenchmarkAllToAll32Seed(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := newBenchTopo(32, 8, ModeOracle)
-		var kick func(r int)
-		kick = func(r int) {
-			if r == 4 {
-				return
-			}
-			specs := t.allToAllSpecs(r, 1e6)
-			left := len(specs)
-			done := func(*Flow) {
-				left--
-				if left == 0 {
-					kick(r + 1)
-				}
-			}
-			for _, sp := range specs {
-				t.net.StartFlowEff(sp.Name, sp.Size, 1, sp.Path, done)
-			}
-		}
-		kick(0)
-		t.eng.Run()
-	}
-}
-
-// benchmarkAdmission measures admitting `flows` flows in one batch and
-// running the network dry — the admission + reallocation + completion
-// pipeline end to end.
-func benchmarkAdmission(b *testing.B, flows int, mode AllocMode) {
-	benchmarkAdmissionAt(b, 32, flows, mode)
-}
-
-// benchmarkAdmissionAt is benchmarkAdmission on a machines-wide
-// topology, for the scaling-curve variants below.
+// benchmarkAdmissionAt measures admitting `flows` flows in one batch
+// on a machines-wide topology and running the network dry — the
+// admission + reallocation + completion pipeline end to end.
 func benchmarkAdmissionAt(b *testing.B, machines, flows int, mode AllocMode) {
 	b.ReportAllocs()
-	b.ReportMetric(float64(machines), "machines")
-	b.ReportMetric(float64(mode), "allocmode")
 	for i := 0; i < b.N; i++ {
 		t := newBenchTopo(machines, 8, mode)
 		var specs []FlowSpec
@@ -235,15 +195,15 @@ func benchmarkAdmissionAt(b *testing.B, machines, flows int, mode AllocMode) {
 	}
 }
 
-func BenchmarkAdmission1kIncremental(b *testing.B)  { benchmarkAdmission(b, 1000, ModeIncremental) }
-func BenchmarkAdmission1kOracle(b *testing.B)       { benchmarkAdmission(b, 1000, ModeOracle) }
-func BenchmarkAdmission10kIncremental(b *testing.B) { benchmarkAdmission(b, 10000, ModeIncremental) }
+func BenchmarkAdmission1kIncremental(b *testing.B) {
+	benchmarkAdmissionAt(b, 32, 1000, ModeIncremental)
+}
+func BenchmarkAdmission10kIncremental(b *testing.B) {
+	benchmarkAdmissionAt(b, 32, 10000, ModeIncremental)
+}
 
 // AdmissionScale admits one sparse-A2A wave (8 flows per machine) on a
 // machines-wide topology — the scaling-curve companion to A2AScale.
-// Incremental only: the Oracle allocator's O(flows²) settles are the
-// reason the incremental one exists, and its curve is already pinned
-// by the 1k/10k fixed-size pairs above.
 func BenchmarkAdmissionScale256(b *testing.B) {
 	benchmarkAdmissionAt(b, 256, 8*256, ModeIncremental)
 }
@@ -260,24 +220,15 @@ func BenchmarkAdmissionScale4096Hier(b *testing.B) {
 	benchmarkAdmissionAt(b, 4096, 8*4096, ModeHierarchical)
 }
 
-// BenchmarkAdmission10kOracle is the seed allocator at 10k flows; it
-// is quadratic-ish per settle, so -short (the CI smoke tier) skips it.
-func BenchmarkAdmission10kOracle(b *testing.B) {
-	if testing.Short() {
-		b.Skip("seed allocator at 10k flows is slow; covered at 1k in -short")
-	}
-	benchmarkAdmission(b, 10000, ModeOracle)
-}
-
-// benchmarkReallocation stresses the settle path itself: a standing
-// population of long flows keeps every link busy while short flows
-// arrive and complete, forcing a reallocation each time. Only the
-// affected component should be recomputed in incremental mode.
-func benchmarkReallocation(b *testing.B, churn int, mode AllocMode) {
+// BenchmarkReallocation1kIncremental stresses the settle path itself:
+// a standing population of long flows keeps every link busy while
+// short flows arrive and complete, forcing a reallocation each time.
+// Only the affected component should be recomputed.
+func BenchmarkReallocation1kIncremental(b *testing.B) {
 	b.ReportAllocs()
-	machines := 32
+	const machines, churn = 32, 1000
 	for i := 0; i < b.N; i++ {
-		t := newBenchTopo(machines, 8, mode)
+		t := newBenchTopo(machines, 8, ModeIncremental)
 		// Standing load: one long flow per machine pair ring.
 		var specs []FlowSpec
 		for m := 0; m < machines; m++ {
@@ -310,8 +261,3 @@ func benchmarkReallocation(b *testing.B, churn int, mode AllocMode) {
 		t.eng.Run()
 	}
 }
-
-func BenchmarkReallocation1kIncremental(b *testing.B) {
-	benchmarkReallocation(b, 1000, ModeIncremental)
-}
-func BenchmarkReallocation1kOracle(b *testing.B) { benchmarkReallocation(b, 1000, ModeOracle) }

@@ -128,3 +128,34 @@ func TestDifferentialHierarchical(t *testing.T) {
 		requireBitIdentical(t, fmt.Sprintf("seed %d: hier vs oracle", seed), hier, oracle)
 	}
 }
+
+// TestHierScopingHoldsAtScale is the count behind the scale benches'
+// wall-clock cliff: the hierarchical allocator is fast at 1024 machines
+// only while settles stay scoped to the trigger domains. A change that
+// loses the scoping still computes the same bits, so no differential
+// catches it — it shows as full-component fallbacks and scope restarts.
+// The workload is BenchmarkA2AScale1024Hier's; the counts are exactly
+// repeatable (0.70 restarts per settle and 1.07 % fallbacks when this
+// gate was written), a settle being one distinct completion instant or
+// one admission wave.
+func TestHierScopingHoldsAtScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("1024-machine sparse all-to-all: ~1.5 s plain, minutes under the race runtime")
+	}
+	settles := 2 // one admission wave per round
+	last := -1.0
+	topo := runA2AScale(1024, ModeHierarchical, func(f *Flow) {
+		if f.FinishedAt() != last {
+			last = f.FinishedAt()
+			settles++
+		}
+	})
+	restarts, fallbacks := topo.net.HierStats()
+	t.Logf("%d settles, %d restarts, %d fallbacks", settles, restarts, fallbacks)
+	if float64(fallbacks) > 0.05*float64(settles) {
+		t.Errorf("%d full-component fallbacks in %d settles, want at most 5 %%", fallbacks, settles)
+	}
+	if float64(restarts) > 1.5*float64(settles) {
+		t.Errorf("%d scope restarts in %d settles, want at most 1.5 per settle", restarts, settles)
+	}
+}

@@ -113,10 +113,7 @@ func delayInjector() *faultinject.Injector {
 
 // BenchmarkTrainPipelined32 is the live-cluster scale point: 32 real
 // machines (each a TCP server + client + store) training pipelined on
-// loopback — the largest size the CI smoke tier tolerates. Together
-// with the fabric A2AScale/AdmissionScale series (256 and 1024
-// machines in simulation) it anchors the scaling curve in
-// BENCH_5.json.
+// loopback — the largest size the CI smoke tier tolerates.
 func BenchmarkTrainPipelined32(b *testing.B) {
 	cfg := trainBenchCfg(nil)
 	cfg.Machines = 32
@@ -142,7 +139,6 @@ func benchTrainCfg(b *testing.B, cfg Config, pipelined bool) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ReportMetric(float64(cfg.Machines), "machines")
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {

@@ -1,16 +1,18 @@
 package tensor
 
 import (
+	"math/rand"
 	"runtime/debug"
 	"testing"
 )
 
 // The zero-alloc kernel gates: MatMulInto and its transpose variants
 // into pooled outputs must not touch the heap once the pools are warm.
-// The shapes used are below minParRows, so the serial fast path of
-// parallelMatRows is taken deterministically on any machine — the
-// parallel fan-out path allocates its chunk closures by design and is
-// exercised by the throughput benchmarks instead.
+// The public-entry tests use shapes below minParRows, so the serial
+// fast path of parallelMatRows is taken on any machine; the fan-out
+// itself is gated by TestFanOutRowsBitIdenticalZeroAlloc, which calls
+// fanOutRows with an explicit chunk count and so does not depend on
+// the host's core count either.
 
 // allocsSteadyState reports the average allocations of fn after a
 // warm-up run, with GC disabled so sync.Pool victims are not cleared
@@ -74,5 +76,52 @@ func TestMatMulTransBIntoPooledZeroAlloc(t *testing.T) {
 	defer Put(out)
 	if n := allocsSteadyState(func() { MatMulTransBInto(a, b, out) }); n != 0 {
 		t.Fatalf("MatMulTransBInto: %v allocs/op in steady state, want 0", n)
+	}
+}
+
+// TestFanOutRowsBitIdenticalZeroAlloc drives the chunked send directly,
+// at widths the latched worker count of this host might never pick:
+// every kernel, row and blocked, must land bitwise on its serial
+// reference and put nothing on the heap per call (a job closure or a
+// per-call completion handle would show as 1–2 allocs/op).
+func TestFanOutRowsBitIdenticalZeroAlloc(t *testing.T) {
+	poolWorkers() // start the workers
+	const r, k, c = 48, 37, 29
+	rng := rand.New(rand.NewSource(18))
+	a := randomSparse(rng, r, k)
+	at := randomSparse(rng, k, r)
+	b := randomSparse(rng, k, c)
+	bt := randomSparse(rng, c, k)
+	mm, ta, tb := matMulSerial(a, b), matMulTransASerial(at, b), matMulTransBSerial(a, bt)
+	cases := []struct {
+		name       string
+		kernel     rowKernel
+		a, b, want *Matrix
+	}{
+		{"MatMul", matMulRows, a, b, mm},
+		{"MatMulBlocked", matMulRowsBlocked, a, b, mm},
+		{"TransA", matMulTransARows, at, b, ta},
+		{"TransABlocked", matMulTransARowsBlocked, at, b, ta},
+		{"TransB", matMulTransBRows, a, bt, tb},
+		{"TransBBlocked", matMulTransBRowsBlocked, a, bt, tb},
+	}
+	out := New(r, c)
+	for _, tc := range cases {
+		for _, chunks := range []int{2, 8, 5} { // 5 does not divide 48: a short tail chunk
+			run := func() {
+				out.Zero() // the MatMul and TransA kernels accumulate
+				fanOutRows(tc.a, tc.b, out, r, chunks, tc.kernel)
+			}
+			run()
+			if !Equal(out, tc.want) {
+				t.Fatalf("%s in %d chunks diverges from serial (maxdiff %v)", tc.name, chunks, MaxAbsDiff(out, tc.want))
+			}
+			if raceEnabled {
+				continue // allocation accounting differs under the race runtime
+			}
+			if n := allocsSteadyState(run); n != 0 {
+				t.Fatalf("%s in %d chunks: %v allocs/op in steady state, want 0", tc.name, chunks, n)
+			}
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 
 // TestBlockedKernelsRowRange checks that the blocked kernels respect a
 // row partition: computing [0,mid) and [mid,rows) separately must land
-// on the serial result, since parallelRows hands them exactly such
+// on the serial result, since fanOutRows hands them exactly such
 // ranges.
 func TestBlockedKernelsRowRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -85,7 +85,7 @@ func TestBlockedKernelsRowRange(t *testing.T) {
 // result to the serial references — the selection itself must be
 // invisible in the bits.
 func TestBlockedSelectionBitIdentical(t *testing.T) {
-	r, k, c := 40, blockedMinK * 2, blockedMinFoot/blockedMinK + 8
+	r, k, c := 40, blockedMinK*2, blockedMinFoot/blockedMinK+8
 	if !useBlocked(k, k*c) {
 		t.Fatalf("shape %dx%dx%d should select the blocked kernel", r, k, c)
 	}

@@ -24,77 +24,75 @@ const maxKernelWorkers = 8
 // minParRows is the smallest output-row count worth fanning out.
 const minParRows = 32
 
+// rowKernel computes output rows [lo, hi) of a three-matrix kernel.
+type rowKernel func(a, b, out *Matrix, lo, hi int)
+
+// rowJob is one chunk of a fanned-out kernel call. It reaches the pool
+// workers by value, so a fan-out puts nothing on the heap.
+type rowJob struct {
+	kernel    rowKernel
+	a, b, out *Matrix
+	lo, hi    int
+	done      *sync.WaitGroup
+}
+
 var kernelPool struct {
 	once    sync.Once
 	workers int
-	jobs    chan func()
+	jobs    chan rowJob
 }
 
+// fanOutDone recycles completion handles: one on the caller's stack
+// would escape through the job channel.
+var fanOutDone = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
+// poolWorkers latches the worker count on first use and starts the
+// workers — on a one-core host too, where dispatch stays serial but
+// fanOutRows must still work.
 func poolWorkers() int {
 	kernelPool.once.Do(func() {
-		w := runtime.GOMAXPROCS(0)
-		if w > maxKernelWorkers {
-			w = maxKernelWorkers
-		}
+		w := min(runtime.GOMAXPROCS(0), maxKernelWorkers)
 		kernelPool.workers = w
-		if w > 1 {
-			kernelPool.jobs = make(chan func(), 4*w)
-			for i := 0; i < w; i++ {
-				go func() {
-					for job := range kernelPool.jobs {
-						job()
-					}
-				}()
-			}
+		kernelPool.jobs = make(chan rowJob, 4*w) // room for a few concurrent callers' chunks
+		for i := 0; i < w; i++ {
+			go func() {
+				for j := range kernelPool.jobs {
+					j.kernel(j.a, j.b, j.out, j.lo, j.hi)
+					j.done.Done()
+				}
+			}()
 		}
 	})
 	return kernelPool.workers
 }
 
-// parallelRows runs fn over [0, rows) split into contiguous chunks, one
-// chunk per pool worker, executing the last chunk on the caller. Serial
-// when the pool has one worker or the row count is too small to pay for
-// the fan-out. fn must touch only the rows it is given.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	w := poolWorkers()
-	if w == 1 || rows < minParRows {
-		fn(0, rows)
+// parallelMatRows runs kernel over output rows [0, rows): one chunk per
+// pool worker, or serially when the pool has one worker or the rows are
+// too few to pay for the fan-out. kernel must touch only its rows.
+func parallelMatRows(a, b, out *Matrix, rows int, kernel rowKernel) {
+	if w := poolWorkers(); w > 1 && rows >= minParRows {
+		fanOutRows(a, b, out, rows, w, kernel)
 		return
 	}
-	chunks := w
-	if chunks > rows {
-		chunks = rows
-	}
-	size := (rows + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	lo := 0
-	for lo+size < rows {
-		lo2, hi2 := lo, lo+size
-		wg.Add(1)
-		kernelPool.jobs <- func() {
-			fn(lo2, hi2)
-			wg.Done()
-		}
-		lo = hi2
-	}
-	fn(lo, rows) // caller takes the tail chunk
-	wg.Wait()
+	kernel(a, b, out, 0, rows)
 }
 
-// parallelMatRows is parallelRows specialised to the three-matrix
-// kernels: the kernel arrives as a plain function value instead of a
-// closure capturing a/b/out, so the serial fast path (one pool worker,
-// or too few rows to pay for fan-out) performs zero heap allocations —
-// a closure handed to parallelRows escapes unconditionally because the
-// parallel branch sends it into the job channel. The parallel path
-// still builds its per-call closure; that cost is paid only when the
-// fan-out actually happens.
-func parallelMatRows(a, b, out *Matrix, rows int, kernel func(a, b, out *Matrix, lo, hi int)) {
-	if poolWorkers() == 1 || rows < minParRows {
-		kernel(a, b, out, 0, rows)
-		return
+// fanOutRows splits [0, rows) into at most `chunks` contiguous ranges,
+// sends all but the last to the pool workers and runs the last on the
+// caller. The chunk count is an argument so that tests can drive any
+// width on any host; poolWorkers must have run.
+func fanOutRows(a, b, out *Matrix, rows, chunks int, kernel rowKernel) {
+	chunks = min(chunks, rows)
+	size := (rows + chunks - 1) / chunks
+	done := fanOutDone.Get().(*sync.WaitGroup)
+	lo := 0
+	for ; lo+size < rows; lo += size {
+		done.Add(1)
+		kernelPool.jobs <- rowJob{kernel, a, b, out, lo, lo + size, done}
 	}
-	parallelRows(rows, func(lo, hi int) { kernel(a, b, out, lo, hi) })
+	kernel(a, b, out, lo, rows)
+	done.Wait()
+	fanOutDone.Put(done)
 }
 
 // --- kernels -------------------------------------------------------------
