@@ -14,7 +14,6 @@ import (
 
 	"janus/internal/config"
 	"janus/internal/experiments"
-	"janus/internal/livecluster"
 	"janus/internal/topology"
 	"janus/internal/trainrun"
 )
@@ -293,25 +292,6 @@ func BenchmarkTrainRun(b *testing.B) {
 	}
 	b.ReportMetric(res.Time.Mean*1e3, "mean-iter-ms")
 	b.ReportMetric(res.Throughput()/1e6, "Mtokens/s")
-}
-
-// BenchmarkLivePullProtocol measures the real TCP pull path end to end:
-// one data-centric forward pass of a small live cluster per iteration.
-func BenchmarkLivePullProtocol(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cl, err := livecluster.Start(livecluster.Config{
-			Machines: 2, WorkersPerNode: 2, NumExperts: 8, TopK: 2,
-			Hidden: 32, TokensPerWorker: 128, Seed: 1, Credits: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cl.RunDataCentric(); err != nil {
-			cl.Close()
-			b.Fatal(err)
-		}
-		cl.Close()
-	}
 }
 
 func benchName(prefix string, v int) string {

@@ -1,17 +1,28 @@
 // Command januslive runs a real (non-simulated) miniature Janus
-// deployment on loopback TCP: every "machine" hosts its experts behind
-// a pull server, workers execute a real numeric MoE forward pass by
-// pulling expert weights through the §6 protocol, and the tool verifies
-// the result against the in-process expert-centric reference and
-// reports the measured wire traffic against the token-exchange volume.
+// deployment on loopback TCP and trains it: every "machine" hosts its
+// experts behind a pull server, and each step pulls every external
+// expert once per machine through the §6 protocol, runs a real numeric
+// MoE forward and backward pass, pushes one pre-reduced gradient per
+// expert back to its owner, and merges SGD updates there. The tool
+// reports the measured wire traffic against the token-exchange volume
+// of an expert-centric training step; a one-step run (the default) is
+// also verified bitwise against the in-process expert-centric reference.
+//
+// The default schedule is lockstep. -pipelined streams microbatches
+// through the fetch → compute → push stages and overlaps steps where the
+// fault policy permits; a pipelined run is re-executed in lockstep on a
+// twin cluster and the final weights are compared bitwise:
+//
+//	januslive -pipelined -steps 8 -microbatches 4 -delay 100us
 //
 // Fault injection: -kill-machine with -kill-from/-kill-to kills one
 // machine's server for a window of steps, and -drop/-delay inject
 // probabilistic write loss and latency on every machine. With faults
-// enabled the cluster runs in stale-weights degradation mode (§5.1.2)
-// and the per-step robustness counters (retries, timeouts, reconnects,
-// stale serves, degraded steps) are printed so a fault run is
-// observable without a debugger:
+// enabled the cluster trains in stale-weights degradation mode (§5.1.2):
+// pulls from an unreachable owner serve the last cached copy and its
+// pushes are dropped, the degraded steps and robustness counters
+// (retries, timeouts, reconnects, stale serves) are printed, and the
+// steps after the window run undegraded again:
 //
 //	januslive -steps 6 -kill-machine 1 -kill-from 3 -kill-to 5
 //
@@ -19,7 +30,7 @@
 // on heartbeat membership, checkpointing (-checkpoint-dir,
 // -checkpoint-every), and deterministic failover — the dead machine's
 // experts are re-homed onto survivors from the last committed
-// checkpoint and the run completes bit-identically on every survivor:
+// checkpoint and training continues on the survivors:
 //
 //	januslive -machines 3 -workers 1 -experts 9 -topk 3 -steps 8 \
 //	  -kill-machine 2 -kill-from 3 -fail-permanent -checkpoint-dir /tmp/janus-ckpt
@@ -36,21 +47,21 @@
 //	  -partition-machine 2 -partition-from 2 -partition-to 4 -partition-oneway
 //
 // Gray failure: -slow-machine/-slow-delay make one machine answer
-// slowly without dying. Per-peer EWMA scoring flags it past -slow-after
-// and pulls hedge to the freshest local replica after -hedge-delay:
+// slowly without dying. Per-peer EWMA scoring flags it past -slow-after,
+// and a pipelined run shrinks its cross-step window instead of stalling
+// deeper behind it:
 //
-//	januslive -steps 4 -slow-machine 1 -slow-delay 20ms \
-//	  -slow-after 2ms -hedge-delay 5ms
+//	januslive -pipelined -steps 4 -slow-machine 1 -slow-delay 20ms -slow-after 2ms
 //
 // Elastic membership: -join-machine M admits a brand-new machine into
 // the running cluster after step -join-at, seeded through member M —
 // no restart, the heartbeat absorbs it within two rounds. -rebalance N
 // runs the popularity-weighted rebalancer every N steps, migrating the
 // hottest experts onto the least-loaded machines through the fenced
-// three-phase handoff (with -train the joined machine hosts migrated
-// experts while the weights stay bitwise identical to a static run):
+// three-phase handoff; the joined machine hosts migrated experts while
+// the weights stay bitwise identical to a static run:
 //
-//	januslive -machines 3 -workers 1 -experts 9 -topk 3 -train \
+//	januslive -machines 3 -workers 1 -experts 9 -topk 3 \
 //	  -steps 8 -join-machine 0 -join-at 2 -rebalance 4
 //
 // Synchronous replication: -replicas N keeps N in-sync copies of every
@@ -59,19 +70,10 @@
 // promotes a replica that acked the dead owner's last merged version,
 // and the tool fails the run if any staleness leaks through:
 //
-//	januslive -machines 3 -workers 1 -experts 9 -topk 3 -train \
+//	januslive -machines 3 -workers 1 -experts 9 -topk 3 \
 //	  -steps 8 -replicas 2 -kill-machine 2 -kill-from 4 -fail-permanent
 //
-// Training: -train switches from the forward-only iteration loop to the
-// real trainer (backward pass, pre-reduced gradient pushes, SGD merges
-// on the owners). -pipelined streams microbatches through the fetch →
-// compute → push stages and overlaps steps where the fault policy
-// permits; a pipelined run is re-executed in lockstep on a twin cluster
-// and the final weights are compared bitwise:
-//
-//	januslive -train -pipelined -steps 8 -microbatches 4 -delay 100us
-//
-// Profiling: -cpuprofile/-memprofile write pprof files for any mode.
+// Profiling: -cpuprofile/-memprofile write pprof files.
 package main
 
 import (
@@ -97,7 +99,7 @@ func run() int {
 	tokens := flag.Int("tokens", 256, "tokens per worker")
 	topk := flag.Int("topk", 2, "gate topK")
 	seed := flag.Int64("seed", 42, "weight/token/fault seed")
-	steps := flag.Int("steps", 1, "training iterations to run")
+	steps := flag.Int("steps", 1, "training steps to run")
 	killMachine := flag.Int("kill-machine", -1, "machine whose server to kill (-1 = none)")
 	killFrom := flag.Int("kill-from", 0, "first step (1-based) the killed server is down")
 	killTo := flag.Int("kill-to", 0, "first step the killed server is back (0 = never)")
@@ -114,7 +116,6 @@ func run() int {
 	slowMachine := flag.Int("slow-machine", -1, "machine whose server answers slowly — a gray failure (-1 = none)")
 	slowDelay := flag.Duration("slow-delay", 20*time.Millisecond, "added latency per network op on the slow machine")
 	slowAfter := flag.Duration("slow-after", 0, "per-peer EWMA latency past which a peer is flagged slow (0 = scoring off)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge an expert pull to the local replica after this delay when the owner is flagged slow (0 = off)")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for crash-consistent checkpoints (failover restores from here)")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "checkpoint cadence in steps")
 	deadman := flag.Int("deadman", janus.DefaultDeadManSteps, "consecutive missed heartbeat rounds before a machine is declared dead")
@@ -123,11 +124,10 @@ func run() int {
 	rebalance := flag.Int("rebalance", 0, "run the popularity-weighted expert rebalancer every N steps (0 = off); implies failover membership")
 	replicas := flag.Int("replicas", 0, "in-sync replicas per expert, streamed at every step barrier (0 = off); implies failover membership")
 	replicateTop := flag.Int("replicate-top", 0, "with -replicas: only replicate the N hottest experts (0 = all)")
-	train := flag.Bool("train", false, "run the real trainer (backward + SGD merges) instead of forward-only iterations")
-	pipelined := flag.Bool("pipelined", false, "with -train: stream microbatches and overlap steps (verified bitwise against a lockstep twin)")
-	microbatches := flag.Int("microbatches", 1, "with -train: contiguous token microbatches per worker batch")
-	depth := flag.Int("depth", 0, "with -train -pipelined: cross-step in-flight window (0 = default)")
-	lr := flag.Float64("lr", 0, "with -train: SGD learning rate (0 = default)")
+	pipelined := flag.Bool("pipelined", false, "stream microbatches and overlap steps (verified bitwise against a lockstep twin)")
+	microbatches := flag.Int("microbatches", 1, "contiguous token microbatches per worker batch")
+	depth := flag.Int("depth", 0, "with -pipelined: cross-step in-flight window (0 = default)")
+	lr := flag.Float64("lr", 0, "SGD learning rate (0 = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -219,7 +219,6 @@ func run() int {
 		cfg.ReplicateTop = *replicateTop
 		cfg.FencingDisabled = *noFencing
 		cfg.SlowAfter = *slowAfter
-		cfg.HedgeDelay = *hedgeDelay
 		if *checkpointDir != "" {
 			cfg.CheckpointDir = *checkpointDir
 			cfg.CheckpointEvery = *checkpointEvery
@@ -245,8 +244,8 @@ func run() int {
 			*partMachine, dir, *partFrom, *partTo, fence)
 	}
 	if *slowMachine >= 0 {
-		fmt.Printf("gray failure: machine %d +%v/op, slow-after=%v hedge-delay=%v\n",
-			*slowMachine, *slowDelay, *slowAfter, *hedgeDelay)
+		fmt.Printf("gray failure: machine %d +%v/op, slow-after=%v\n",
+			*slowMachine, *slowDelay, *slowAfter)
 	}
 	if *joinSeed >= 0 || *rebalance > 0 {
 		ev := ""
@@ -270,35 +269,27 @@ func run() int {
 			*replicas, scope)
 	}
 
-	if *train {
-		opts := janus.LiveTrainOptions{
-			Steps: *steps, Microbatches: *microbatches,
-			Pipelined: *pipelined, Depth: *depth, LR: float32(*lr),
-			RebalanceEvery: *rebalance,
-		}
-		if *joinSeed >= 0 {
-			opts.JoinAfterStep = *joinAt
-			opts.JoinSeed = *joinSeed
-		}
-		return runTrain(buildCfg, opts, *replicas, *failPermanent)
+	opts := janus.LiveTrainOptions{
+		Steps: *steps, Microbatches: *microbatches,
+		Pipelined: *pipelined, Depth: *depth, LR: float32(*lr),
+		RebalanceEvery: *rebalance,
 	}
-	return runForward(buildCfg(), *steps, faulted, *failPermanent || *partMachine >= 0, *machines,
-		elasticPlan{joinSeed: *joinSeed, joinAt: *joinAt, rebalanceEvery: *rebalance})
+	if *joinSeed >= 0 {
+		opts.JoinAfterStep = *joinAt
+		opts.JoinSeed = *joinSeed
+	}
+	return runTrain(buildCfg, opts, *replicas, *failPermanent, faulted)
 }
 
-// elasticPlan is the forward-mode membership-event schedule.
-type elasticPlan struct {
-	joinSeed, joinAt, rebalanceEvery int
-}
-
-func (p elasticPlan) active() bool { return p.joinSeed >= 0 || p.rebalanceEvery > 0 }
-
-// runTrain executes the trainer; a pipelined run is verified bitwise
-// against a lockstep twin cluster driven by an identical fault policy.
-// With replication armed against a permanent kill, the run is held to
-// the lossless bar: a promotion must happen and no staleness may leak.
-func runTrain(buildCfg func() janus.LiveConfig, opts janus.LiveTrainOptions, replicas int, failPermanent bool) int {
-	cl, err := janus.StartLiveCluster(buildCfg())
+// runTrain executes the trainer. A one-step run is verified bitwise
+// against the expert-centric reference (the step computes on untouched
+// weights); a pipelined run is verified bitwise against a lockstep twin
+// cluster driven by an identical fault policy. With replication armed
+// against a permanent kill, the run is held to the lossless bar: a
+// promotion must happen and no staleness may leak.
+func runTrain(buildCfg func() janus.LiveConfig, opts janus.LiveTrainOptions, replicas int, failPermanent, faulted bool) int {
+	cfg := buildCfg()
+	cl, err := janus.StartLiveCluster(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "januslive:", err)
 		return 1
@@ -323,10 +314,37 @@ func runTrain(buildCfg func() janus.LiveConfig, opts janus.LiveTrainOptions, rep
 		fmt.Println("schedule: step-synced (fault policy is not outcome-neutral; cross-step overlap disabled)")
 	}
 	fmt.Printf("pipeline: %v\n", res.Pipeline)
-	if res.DegradedSteps > 0 {
-		fmt.Printf("degraded: %d/%d steps (stale=%d max-staleness=%d dropped-grads=%d) alive=%d\n",
+	if faulted || res.DegradedSteps > 0 {
+		fmt.Printf("robustness: %d/%d steps degraded (stale=%d max-staleness=%d dropped-grads=%d); cumulative %v\n",
 			res.DegradedSteps, res.Steps, res.StaleFetches, res.MaxStalenessSteps,
-			res.DroppedGrads, res.AliveMachines)
+			res.DroppedGrads, cl.RobustnessTotals())
+	}
+	if cfg.FailoverEnabled {
+		fmt.Printf("membership: %d machine(s) alive, %d partitioned after the run (%d at start)\n",
+			res.AliveMachines, res.PartitionedMachines, cfg.Machines)
+	}
+	tokenBytes := cl.TokenExchangeBytes() * int64(res.Steps)
+	fmt.Printf("cross-machine traffic: data-centric %d bytes, expert-centric token exchange would be %d bytes",
+		res.CrossMachineBytes, tokenBytes)
+	if res.CrossMachineBytes > 0 {
+		fmt.Printf(" (%.1fx reduction)", float64(tokenBytes)/float64(res.CrossMachineBytes))
+	}
+	fmt.Println()
+	if res.Steps == 1 {
+		// A dead machine's workers compute nothing: their output slots
+		// are nil and only survivors are compared.
+		ref := cl.RunExpertCentricReference()
+		maxDiff := 0.0
+		for w, out := range res.FinalOutputs {
+			if out != nil {
+				maxDiff = max(maxDiff, tensor.MaxAbsDiff(out, ref[w]))
+			}
+		}
+		fmt.Printf("paradigm equivalence: step-1 max |Δ| vs expert-centric reference = %g\n", maxDiff)
+		if maxDiff != 0 {
+			fmt.Fprintln(os.Stderr, "januslive: step-1 outputs differ from the reference")
+			return 1
+		}
 	}
 	if opts.JoinAfterStep > 0 || opts.RebalanceEvery > 0 {
 		if err := cl.ViewConsistency(); err != nil {
@@ -343,8 +361,8 @@ func runTrain(buildCfg func() janus.LiveConfig, opts janus.LiveTrainOptions, rep
 			return 1
 		}
 		tot := cl.RobustnessTotals()
-		fmt.Printf("replication: %d stream(s), %d failure(s), %d promotion(s), %d repair(s), %d retarget(s), %d in-sync hedge(s)\n",
-			tot.ReplPushes, tot.ReplFailures, tot.Promotions, tot.ReplRepairs, tot.ReplRetargets, tot.InSyncHedges)
+		fmt.Printf("replication: %d stream(s), %d failure(s), %d promotion(s), %d repair(s), %d retarget(s)\n",
+			tot.ReplPushes, tot.ReplFailures, tot.Promotions, tot.ReplRepairs, tot.ReplRetargets)
 		if failPermanent {
 			// The lossless bar: the kill must have promoted an in-sync
 			// replica and the run must show zero staleness end to end.
@@ -407,122 +425,5 @@ func runTrain(buildCfg func() janus.LiveConfig, opts janus.LiveTrainOptions, rep
 		}
 	}
 	fmt.Printf("OK: pipelined weights bit-identical to the lockstep twin (%d experts)\n", len(got))
-	return 0
-}
-
-func runForward(cfg janus.LiveConfig, steps int, faulted, failPermanent bool, machines int, plan elasticPlan) int {
-	cl, err := janus.StartLiveCluster(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "januslive:", err)
-		return 1
-	}
-	defer cl.Close()
-
-	ref := cl.RunExpertCentricReference()
-	var last janus.LiveResult
-	degradedTotal := 0
-	for s := 1; s <= steps; s++ {
-		start := time.Now()
-		res, err := cl.RunDataCentric()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "januslive: step %d: %v\n", s, err)
-			return 1
-		}
-		if plan.joinSeed >= 0 && s == plan.joinAt {
-			j, err := cl.Join(plan.joinSeed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "januslive: join after step %d: %v\n", s, err)
-				return 1
-			}
-			fmt.Printf("step %2d: machine %d joined live via member %d\n", s, j, plan.joinSeed)
-		}
-		if plan.rebalanceEvery > 0 && s%plan.rebalanceEvery == 0 {
-			n, err := cl.Rebalance(1)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "januslive: rebalance after step %d: %v\n", s, err)
-				return 1
-			}
-			if n > 0 {
-				fmt.Printf("step %2d: rebalanced %d expert(s), owners now %v\n", s, n, cl.OwnerView())
-			}
-		}
-		if plan.active() {
-			if err := cl.ViewConsistency(); err != nil {
-				fmt.Fprintln(os.Stderr, "januslive:", err)
-				return 1
-			}
-		}
-		last = res
-		degradedTotal += res.DegradedSteps
-		if steps > 1 || faulted {
-			mode := "ok"
-			if res.Degraded() {
-				mode = fmt.Sprintf("DEGRADED (stale=%d max-staleness=%d dropped-grads=%d)",
-					res.StaleFetches, res.MaxStalenessSteps, res.DroppedGrads)
-			}
-			alive := ""
-			if failPermanent {
-				alive = fmt.Sprintf("  alive=%d/%d", res.AliveMachines, machines)
-				if res.PartitionedMachines > 0 {
-					alive += fmt.Sprintf(" parted=%d", res.PartitionedMachines)
-				}
-			}
-			fmt.Printf("step %2d: %6.1fms  %s%s  [%v]\n",
-				s, float64(time.Since(start).Microseconds())/1e3, mode, alive, res.Robust)
-		}
-	}
-
-	// A permanently dead machine's workers compute nothing: their output
-	// slots are nil and only survivors are compared.
-	maxDiff, survivors := 0.0, 0
-	for w := range ref {
-		if last.Outputs[w] == nil {
-			continue
-		}
-		survivors++
-		if d := tensor.MaxAbsDiff(last.Outputs[w], ref[w]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	tokenBytes := cl.TokenExchangeBytes()
-	fmt.Printf("paradigm equivalence:   max |Δ| vs expert-centric reference = %g\n", maxDiff)
-	fmt.Printf("expert pulls served:    %d (single flight per machine)\n", last.PullsServed)
-	fmt.Printf("cross-machine traffic:  data-centric %d bytes, token exchange would be %d bytes",
-		last.CrossMachineBytes, tokenBytes)
-	if last.CrossMachineBytes > 0 {
-		fmt.Printf("  (%.1fx reduction)", float64(tokenBytes)/float64(last.CrossMachineBytes))
-	}
-	fmt.Println()
-	if faulted || degradedTotal > 0 {
-		fmt.Printf("robustness:             %d/%d steps degraded; cumulative %v\n",
-			degradedTotal, steps, cl.RobustnessTotals())
-	}
-	if failPermanent {
-		fmt.Printf("membership:             %d/%d machines alive after the run\n",
-			last.AliveMachines, machines)
-	}
-	if plan.active() {
-		tot := cl.RobustnessTotals()
-		fmt.Printf("elastic:                %d join(s), %d migration(s), %d rollback(s), epoch %d, owners %v (views consistent)\n",
-			tot.Joins, tot.Migrations, tot.MigrationRollbacks, cl.Epoch(), cl.OwnerView())
-	}
-	if cfg.Replicas > 0 {
-		if err := cl.ViewConsistency(); err != nil {
-			fmt.Fprintln(os.Stderr, "januslive:", err)
-			return 1
-		}
-		tot := cl.RobustnessTotals()
-		fmt.Printf("replication:            %d stream(s), %d failure(s), %d promotion(s), %d repair(s), %d in-sync hedge(s)\n",
-			tot.ReplPushes, tot.ReplFailures, tot.Promotions, tot.ReplRepairs, tot.InSyncHedges)
-	}
-	if maxDiff != 0 {
-		fmt.Fprintln(os.Stderr, "januslive: outputs differ from reference")
-		return 1
-	}
-	if survivors < len(ref) {
-		fmt.Printf("OK: all %d surviving workers bit-identical to the reference (failed machine's workers excluded)\n", survivors)
-		return 0
-	}
-	fmt.Println("OK: data-centric execution over real sockets is bit-identical to the reference")
 	return 0
 }

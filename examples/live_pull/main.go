@@ -1,8 +1,10 @@
 // live_pull demonstrates the data-centric paradigm with real bytes on
 // real sockets: a miniature cluster of TCP "machines" hosting real
-// expert weights, workers pulling experts through the §6 protocol
-// (single flight per machine, credit window), and a numeric proof that
-// the result equals the expert-centric computation exactly.
+// expert weights runs one training step — workers pull experts through
+// the §6 protocol (single flight per machine, credit window), run
+// forward and backward, and push one pre-reduced gradient per expert
+// back to its owner — with a numeric proof that the step's outputs
+// equal the expert-centric computation exactly.
 package main
 
 import (
@@ -26,21 +28,21 @@ func main() {
 	}
 	defer cl.Close()
 
-	res, err := cl.RunDataCentric()
+	res, err := cl.Train(janus.LiveTrainOptions{Steps: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ref := cl.RunExpertCentricReference()
 	for w := range ref {
-		if !tensor.Equal(res.Outputs[w], ref[w]) {
+		if !tensor.Equal(res.FinalOutputs[w], ref[w]) {
 			log.Fatalf("worker %d output differs from the expert-centric reference", w)
 		}
 	}
-	fmt.Println("outputs are bit-identical to the expert-centric reference")
-	fmt.Printf("expert pulls over TCP: %d (each machine fetched each external expert once)\n",
-		res.PullsServed)
+	fmt.Println("step-1 outputs are bit-identical to the expert-centric reference")
+	fmt.Printf("gradient pushes accepted per machine: %v (one pre-reduced push per external expert)\n",
+		cl.GradsAccepted())
 	tokenBytes := cl.TokenExchangeBytes()
-	fmt.Printf("cross-machine bytes: %d (expert fetch) vs %d (token exchange) = %.1fx reduction\n",
+	fmt.Printf("cross-machine bytes per training step: %d (expert pull + gradient push) vs %d (token exchange) = %.1fx reduction\n",
 		res.CrossMachineBytes, tokenBytes,
 		float64(tokenBytes)/float64(res.CrossMachineBytes))
 }

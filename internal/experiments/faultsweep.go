@@ -9,7 +9,7 @@ import (
 	"janus/internal/livecluster"
 )
 
-// FaultSweepRow is one live iteration of the fault sweep.
+// FaultSweepRow is one live training step of the fault sweep.
 type FaultSweepRow struct {
 	Step         int
 	WallMs       float64
@@ -42,7 +42,7 @@ type FaultSweepResult struct {
 	HealthyMs, OutageMs float64 // mean wall time per step, in/out of the window
 }
 
-// FaultSweep runs a 2-machine live cluster for six steps, kills
+// FaultSweep trains a 2-machine live cluster for six steps, kills
 // machine 1's server for steps 3-4, and records how the data-centric
 // protocol rides through the outage (retries, reconnects, stale
 // serves) versus the synchronous baseline's unavoidable stall.
@@ -79,7 +79,7 @@ func FaultSweep() (*FaultSweepResult, error) {
 	var healthyN, outageN int
 	for s := 1; s <= steps; s++ {
 		start := time.Now()
-		step, err := cl.RunDataCentric()
+		step, err := cl.Train(livecluster.TrainOptions{Steps: 1})
 		if err != nil {
 			return nil, fmt.Errorf("faultsweep step %d: %w", s, err)
 		}

@@ -7,76 +7,26 @@ import (
 	"janus/internal/faultinject"
 )
 
-// BenchmarkIteration measures one steady-state data-centric iteration
-// of a small live cluster: real TCP pulls, forward compute, and
-// gradient pushes. The ISSUE 3 fast path (static routing index, pooled
-// scratch, memoized expert encodings, overlapped prefetch and pushes)
-// is what this guards.
-func BenchmarkIteration(b *testing.B) {
-	benchIteration(b, nil)
-}
+// benchTrainSteps is the per-op step count of the training benchmarks:
+// long enough for the pipeline to fill (> depth) and drain.
+const benchTrainSteps = 8
 
-// BenchmarkIterationRTT is the same workload with 100µs injected on
-// every socket read and write (~0.4ms per round trip), approximating a
-// datacenter network instead of kernel loopback. This is the regime
-// the overlap optimizations target: with real latency, sequential
-// pulls and pushes stack round trips that the prefetch wave and the
-// parallel gradient pushes hide.
-func BenchmarkIterationRTT(b *testing.B) {
-	inj := faultinject.New(7)
-	inj.AddRule(faultinject.Rule{Fault: faultinject.Fault{Delay: 100 * time.Microsecond}})
-	benchIteration(b, inj)
-}
-
-func benchIteration(b *testing.B, inj *faultinject.Injector) {
-	cl, err := Start(benchCfg(inj))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.RunDataCentric(); err != nil { // warm caches and connections
-		b.Fatal(err)
-	}
-	if _, err := cl.RunDataCentric(); err != nil { // second pass fills every recycled-buffer pool
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.RunDataCentric(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchCfg(inj *faultinject.Injector) Config {
+// trainBenchCfg is the training-benchmark cluster: eight machines with
+// a light per-step batch, so the workload is dominated by the pulls and
+// pushes the pipeline exists to hide rather than by single-core matmul
+// time (on one core compute cannot overlap compute, only waiting).
+func trainBenchCfg(inj *faultinject.Injector) Config {
 	return Config{
 		Machines:        8,
 		WorkersPerNode:  1,
 		NumExperts:      32,
 		TopK:            2,
-		Hidden:          32,
-		TokensPerWorker: 8,
+		Hidden:          16,
+		TokensPerWorker: 2,
 		Seed:            42,
 		Credits:         16,
 		Injector:        inj,
 	}
-}
-
-// benchTrainSteps is the per-op step count of the training benchmarks:
-// long enough for the pipeline to fill (> depth) and drain.
-const benchTrainSteps = 8
-
-// trainBenchCfg is the training-benchmark cluster: same topology as the
-// iteration benchmarks but a lighter per-step batch, so the workload is
-// dominated by the pulls and pushes the pipeline exists to hide rather
-// than by single-core matmul time (the box runs GOMAXPROCS=1 — compute
-// cannot overlap compute, only waiting).
-func trainBenchCfg(inj *faultinject.Injector) Config {
-	cfg := benchCfg(inj)
-	cfg.TokensPerWorker = 2
-	cfg.Hidden = 16
-	return cfg
 }
 
 // BenchmarkTrainLockstep measures the barriered reference trainer on

@@ -186,7 +186,6 @@ func (cl *Cluster) Join(seed int) (int, error) {
 	store := &machineStore{
 		experts: make(map[transport.ExpertID]*moe.Expert),
 		enc:     make(map[transport.ExpertID]*encEntry),
-		grads:   make(map[transport.ExpertID]int),
 		h:       cfg.Hidden,
 	}
 	store.cond = sync.NewCond(&store.mu)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"janus/internal/faultinject"
-	"janus/internal/tensor"
 	"janus/internal/transport"
 )
 
@@ -66,23 +65,18 @@ func checkViewAgreement(t *testing.T, cl *Cluster, prev []uint64) []uint64 {
 }
 
 // A machine joins a running cluster over the wire and the heartbeat
-// absorbs it within two rounds — no restart, no output change.
+// absorbs it within two rounds — no restart, and the training run stays
+// bitwise on an undisturbed twin's trajectory.
 func TestJoinLiveMachine(t *testing.T) {
 	cl, err := Start(elasticCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := cl.RunDataCentric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := cl.RunExpertCentricReference()
-	for w := range ref {
-		if !tensor.Equal(res.Outputs[w], ref[w]) {
-			t.Fatalf("worker %d diverged before the join", w)
-		}
-	}
+	twin := startTwin(t, elasticCfg)
+	res := trainStep(t, cl)
+	assertSameOutputs(t, "step 1 vs reference", res.FinalOutputs, cl.RunExpertCentricReference())
+	trainStep(t, twin)
 
 	j, err := cl.Join(0)
 	if err != nil {
@@ -98,19 +92,12 @@ func TestJoinLiveMachine(t *testing.T) {
 
 	// Two more steps: round one the quorum machines rejoin the newcomer
 	// (epoch bump), round two the newcomer reconciles onto the bumped
-	// epoch. Outputs must stay bit-identical throughout — the joiner
-	// hosts nothing and runs no workers.
+	// epoch. Weights and outputs must match the twin's throughout — the
+	// joiner hosts nothing and runs no workers.
 	for s := 0; s < 2; s++ {
-		res, err = cl.RunDataCentric()
-		if err != nil {
-			t.Fatalf("step after join: %v", err)
-		}
+		res = trainStep(t, cl)
 		epochs = checkViewAgreement(t, cl, epochs)
-		for w := range ref {
-			if !tensor.Equal(res.Outputs[w], ref[w]) {
-				t.Fatalf("worker %d diverged after the join", w)
-			}
-		}
+		assertSameTrained(t, "after the join", cl, twin, res.FinalOutputs, trainStep(t, twin).FinalOutputs)
 	}
 	if got := cl.AliveMachines(); got != 4 {
 		t.Fatalf("alive machines = %d, want 4", got)
@@ -183,29 +170,28 @@ func TestJoinRefusedRollsBack(t *testing.T) {
 	if j != 3 {
 		t.Fatalf("joiner index = %d, want 3", j)
 	}
-	if _, err := cl.RunDataCentric(); err != nil {
-		t.Fatalf("step after rollback+join: %v", err)
-	}
+	trainStep(t, cl)
 }
 
 // A completed migration flips ownership under one epoch bump, the new
 // owner serves, the old owner keeps only a demoted stale replica, and
-// forward outputs are unchanged (placement never touches the math).
+// training stays bitwise on an undisturbed twin's trajectory
+// (placement never touches the math).
 func TestMigrateExpertLive(t *testing.T) {
 	cl, err := Start(elasticCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.RunDataCentric(); err != nil {
-		t.Fatal(err)
-	}
+	twin := startTwin(t, elasticCfg)
+	trainStep(t, cl)
+	trainStep(t, twin)
 	var total int64
 	for _, c := range cl.ExpertLoadCounts() {
 		total += c
 	}
 	if total == 0 {
-		t.Fatal("no routed-token load recorded after a forward step")
+		t.Fatal("no routed-token load recorded after a training step")
 	}
 
 	if got := cl.currentOwner(0); got != 0 {
@@ -243,16 +229,8 @@ func TestMigrateExpertLive(t *testing.T) {
 	}
 	checkViewAgreement(t, cl, nil)
 
-	res, err := cl.RunDataCentric()
-	if err != nil {
-		t.Fatalf("step after migration: %v", err)
-	}
-	ref := cl.RunExpertCentricReference()
-	for w := range ref {
-		if !tensor.Equal(res.Outputs[w], ref[w]) {
-			t.Fatalf("worker %d output changed after migration", w)
-		}
-	}
+	res := trainStep(t, cl)
+	assertSameTrained(t, "after migration", cl, twin, res.FinalOutputs, trainStep(t, twin).FinalOutputs)
 }
 
 // The acceptance differential: a live join plus three live migrations
@@ -402,9 +380,9 @@ func TestMigrationTransferFailureRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.RunDataCentric(); err != nil {
-		t.Fatal(err)
-	}
+	twin := startTwin(t, elasticCfg)
+	trainStep(t, cl)
+	trainStep(t, twin)
 
 	inj.SetStep(5)
 	if err := cl.MigrateExpert(0, 1); err == nil {
@@ -432,29 +410,19 @@ func TestMigrationTransferFailureRollsBack(t *testing.T) {
 	if got := cl.currentOwner(0); got != 1 {
 		t.Fatalf("healed migration left owner %d, want 1", got)
 	}
-	res, err := cl.RunDataCentric() // advances to step 2, outside the window
-	if err != nil {
-		t.Fatalf("step after healed migration: %v", err)
-	}
-	ref := cl.RunExpertCentricReference()
-	for w := range ref {
-		if !tensor.Equal(res.Outputs[w], ref[w]) {
-			t.Fatalf("worker %d output changed after healed migration", w)
-		}
-	}
+	res := trainStep(t, cl) // advances to step 2, outside the window
+	assertSameTrained(t, "after healed migration", cl, twin, res.FinalOutputs, trainStep(t, twin).FinalOutputs)
 }
 
 // Satellite regression: a cluster that migrated experts restarts with
 // the migrated (uneven, off-home) ownership map — Validate accepts it,
-// Start honours it, and the forward pass still matches the reference.
+// Start honours it, and training matches a home-placed twin bitwise.
 func TestRestartWithMigratedPlacement(t *testing.T) {
 	cl, err := Start(elasticCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RunDataCentric(); err != nil {
-		t.Fatal(err)
-	}
+	trainStep(t, cl)
 	if err := cl.MigrateExpert(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -479,16 +447,9 @@ func TestRestartWithMigratedPlacement(t *testing.T) {
 			t.Fatalf("expert %d restarted on machine %d, want %d", e, got, want)
 		}
 	}
-	res, err := cl2.RunDataCentric()
-	if err != nil {
-		t.Fatalf("forward after restart: %v", err)
-	}
-	ref := cl2.RunExpertCentricReference()
-	for w := range ref {
-		if !tensor.Equal(res.Outputs[w], ref[w]) {
-			t.Fatalf("worker %d output differs under restarted placement", w)
-		}
-	}
+	twin := startTwin(t, elasticCfg)
+	res := trainStep(t, cl2)
+	assertSameTrained(t, "restarted placement", cl2, twin, res.FinalOutputs, trainStep(t, twin).FinalOutputs)
 }
 
 // The popularity-weighted rebalancer: deterministic plans, strict

@@ -1,6 +1,7 @@
 package livecluster
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,12 +33,14 @@ func failoverCfg(inj *faultinject.Injector, ckptDir string) Config {
 	}
 }
 
-// checkSurvivors asserts every alive machine's worker output is
-// bit-identical to the expert-centric reference and dead machines'
-// slots are nil.
-func checkSurvivors(t *testing.T, cl *Cluster, res Result, ref []*tensor.Matrix) {
+// checkSurvivors asserts every alive worker produced a finite output
+// and dead machines' slots are nil. Weights move with every step, so
+// only a run's first step is comparable to the expert-centric
+// reference; the lossy steps of a fault window are held to finiteness
+// plus the counters each test asserts.
+func checkSurvivors(t *testing.T, cl *Cluster, outs []*tensor.Matrix) {
 	t.Helper()
-	for w, out := range res.Outputs {
+	for w, out := range outs {
 		machine := w / cl.cfg.WorkersPerNode
 		if !cl.isAlive(machine) {
 			if out != nil {
@@ -48,8 +51,8 @@ func checkSurvivors(t *testing.T, cl *Cluster, res Result, ref []*tensor.Matrix)
 		if out == nil {
 			t.Fatalf("alive worker %d produced no output", w)
 		}
-		if !tensor.Equal(out, ref[w]) {
-			t.Fatalf("worker %d output differs from expert-centric reference", w)
+		if !finite(out) {
+			t.Fatalf("worker %d output not finite", w)
 		}
 	}
 }
@@ -57,8 +60,9 @@ func checkSurvivors(t *testing.T, cl *Cluster, res Result, ref []*tensor.Matrix)
 // The headline scenario: machine 2 dies permanently at step 2. The
 // cluster rides the outage on stale weights, declares the machine dead
 // within the dead-man budget, re-homes its experts from the last
-// checkpoint, and finishes the run at full fidelity — bit-identical to
-// the uninterrupted expert-centric reference on every surviving worker.
+// checkpoint, and keeps training at full fidelity on the survivors —
+// the re-homed experts merge the survivors' gradients on their new
+// owners.
 func TestPermanentKillFailsOverFromCheckpoint(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Kill(MachineLabel(2), 2, 0) // dead forever from step 2
@@ -68,31 +72,25 @@ func TestPermanentKillFailsOverFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ref := cl.RunExpertCentricReference()
 
 	// Step 1: healthy. Commits the checkpoint failover will restore.
-	res, err := cl.RunDataCentric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded() || res.AliveMachines != 3 {
+	res := trainStep(t, cl)
+	if res.DegradedSteps > 0 || res.AliveMachines != 3 {
 		t.Fatalf("healthy step: %+v", res)
 	}
 	if res.Robust.Checkpoints != 1 || res.Robust.CheckpointBytes <= 0 {
 		t.Fatalf("step 1 checkpoint counters: %+v", res.Robust)
 	}
-	checkSurvivors(t, cl, res, ref)
+	checkSurvivors(t, cl, res.FinalOutputs)
+	assertSameOutputs(t, "step 1 vs reference", res.FinalOutputs, cl.RunExpertCentricReference())
 
 	// Steps 2-3: machine 2 unreachable, inside the dead-man budget.
 	// The cluster degrades to stale weights but keeps computing.
 	sawDegraded := false
 	for s := 2; s <= 3; s++ {
-		res, err = cl.RunDataCentric()
-		if err != nil {
-			t.Fatalf("step %d: %v", s, err)
-		}
-		checkSurvivors(t, cl, res, ref)
-		sawDegraded = sawDegraded || res.Degraded()
+		res = trainStep(t, cl)
+		checkSurvivors(t, cl, res.FinalOutputs)
+		sawDegraded = sawDegraded || res.DegradedSteps > 0
 		if res.Robust.Failovers > 0 && res.AliveMachines != 2 {
 			t.Fatalf("step %d: failover without membership change", s)
 		}
@@ -123,36 +121,42 @@ func TestPermanentKillFailsOverFromCheckpoint(t *testing.T) {
 	if totals.Restores != 3 {
 		t.Fatalf("checkpoint restores = %d, want 3", totals.Restores)
 	}
-
-	// Post-failover steps run at full fidelity: no stale serves, no
-	// dropped grads, outputs still bit-identical.
-	for s := 4; s <= 6; s++ {
-		res, err = cl.RunDataCentric()
-		if err != nil {
-			t.Fatalf("step %d: %v", s, err)
-		}
-		if res.Degraded() {
-			t.Fatalf("step %d still degraded after failover: %+v", s, res)
-		}
-		checkSurvivors(t, cl, res, ref)
+	rehomed, err := cl.ExpertState()
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Survivors push exactly one gradient per external expert per step,
-	// including to the re-homed experts' new owners.
-	for m := 0; m < 2; m++ {
-		cl.stores[m].mu.Lock()
-		for id, n := range cl.stores[m].grads {
-			if int(id.Expert) >= 6 && n == 0 {
-				t.Errorf("re-homed expert %v received no gradients", id)
-			}
+	// Post-failover steps run at full fidelity: no stale serves, no
+	// dropped grads.
+	for s := 4; s <= 6; s++ {
+		res = trainStep(t, cl)
+		if res.DegradedSteps > 0 {
+			t.Fatalf("step %d still degraded after failover: %+v", s, res)
 		}
-		cl.stores[m].mu.Unlock()
+		checkSurvivors(t, cl, res.FinalOutputs)
+	}
+
+	// The re-homed experts kept training on their new owners: their
+	// versions advanced with the step clock and the survivors' merged
+	// gradients moved their weights.
+	after, err := cl.ExpertState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 6; e < 9; e++ {
+		id := transport.ExpertID{Expert: uint32(e)}
+		if v := cl.stores[owners[e]].versionOf(id); v != 6 {
+			t.Errorf("re-homed expert %d at version %d on machine %d, want 6", e, v, owners[e])
+		}
+		if bytes.Equal(rehomed[e], after[e]) {
+			t.Errorf("re-homed expert %d merged no gradients after failover", e)
+		}
 	}
 }
 
 // With no checkpoint configured, failover falls back to the newest
-// stale replica a survivor holds — staleness accounted — and still
-// completes bit-identically (weights are static in this harness).
+// stale replica a survivor holds — staleness accounted — and training
+// continues on the survivors.
 func TestFailoverFromNewestReplicaWithoutCheckpoint(t *testing.T) {
 	inj := faultinject.New(2)
 	inj.Kill(MachineLabel(2), 2, 0)
@@ -161,15 +165,13 @@ func TestFailoverFromNewestReplicaWithoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ref := cl.RunExpertCentricReference()
 
-	var last Result
 	for s := 1; s <= 5; s++ {
-		last, err = cl.RunDataCentric()
-		if err != nil {
-			t.Fatalf("step %d: %v", s, err)
+		last := trainStep(t, cl)
+		checkSurvivors(t, cl, last.FinalOutputs)
+		if s == 1 {
+			assertSameOutputs(t, "step 1 vs reference", last.FinalOutputs, cl.RunExpertCentricReference())
 		}
-		checkSurvivors(t, cl, last, ref)
 		if s == 3 && last.Robust.Failovers == 1 && last.MaxStalenessSteps == 0 {
 			t.Fatal("replica recovery did not account staleness")
 		}
@@ -201,14 +203,13 @@ func TestRejoinReclaimsHomeExperts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ref := cl.RunExpertCentricReference()
 
 	for s := 1; s <= 6; s++ {
-		res, err := cl.RunDataCentric()
-		if err != nil {
-			t.Fatalf("step %d: %v", s, err)
+		res := trainStep(t, cl)
+		checkSurvivors(t, cl, res.FinalOutputs)
+		if s == 1 {
+			assertSameOutputs(t, "step 1 vs reference", res.FinalOutputs, cl.RunExpertCentricReference())
 		}
-		checkSurvivors(t, cl, res, ref)
 	}
 	if cl.AliveMachines() != 3 {
 		t.Fatalf("machine did not rejoin (alive=%d)", cl.AliveMachines())
@@ -242,14 +243,15 @@ func TestRejoinReclaimsHomeExperts(t *testing.T) {
 }
 
 // The whole failover scenario — membership transitions, ownership
-// views, degradation profile, counters — replays identically from the
-// seed.
+// views, degradation profile, counters, and the trained weights —
+// replays identically from the seed.
 func TestFailoverDeterministicReplay(t *testing.T) {
 	type profile struct {
 		degraded, alive  int
 		stale            int64
 		owners           []int
 		failovers, homed int64
+		state            [][]byte
 	}
 	run := func(dir string) profile {
 		inj := faultinject.New(7)
@@ -261,10 +263,7 @@ func TestFailoverDeterministicReplay(t *testing.T) {
 		defer cl.Close()
 		var p profile
 		for s := 1; s <= 5; s++ {
-			res, err := cl.RunDataCentric()
-			if err != nil {
-				t.Fatalf("step %d: %v", s, err)
-			}
+			res := trainStep(t, cl)
 			p.degraded += res.DegradedSteps
 			p.stale += res.StaleFetches
 		}
@@ -272,6 +271,9 @@ func TestFailoverDeterministicReplay(t *testing.T) {
 		p.owners = cl.OwnerView()
 		totals := cl.RobustnessTotals()
 		p.failovers, p.homed = totals.Failovers, totals.RehomedExperts
+		if p.state, err = cl.ExpertState(); err != nil {
+			t.Fatal(err)
+		}
 		return p
 	}
 	p1 := run(t.TempDir())
@@ -285,6 +287,7 @@ func TestFailoverDeterministicReplay(t *testing.T) {
 			t.Fatalf("ownership view not reproducible at expert %d: %v vs %v", e, p1.owners, p2.owners)
 		}
 	}
+	assertSameState(t, "failover replay", p1.state, p2.state)
 }
 
 // A corrupted newest checkpoint must not poison failover: the restore
@@ -298,14 +301,11 @@ func TestFailoverSkipsCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ref := cl.RunExpertCentricReference()
 
 	// Steps 1-2: two checkpoints committed (the view still includes
 	// machine 2 at step 2, so both cover all nine experts).
 	for s := 1; s <= 2; s++ {
-		if _, err := cl.RunDataCentric(); err != nil {
-			t.Fatalf("step %d: %v", s, err)
-		}
+		trainStep(t, cl)
 	}
 	// Bit-flip an expert entry in the newest checkpoint (v2).
 	entry := filepath.Join(dir, "v00000002", "expert-00000006.bin")
@@ -325,14 +325,11 @@ func TestFailoverSkipsCorruptCheckpoint(t *testing.T) {
 	// must reject the torn v2 and fall back to v1 — Restores==3 proves
 	// the checkpoint path (not the replica path, which would leave
 	// Restores at 0) recovered every expert despite the corruption.
-	var last Result
+	var last TrainResult
 	for s := 3; s <= 5; s++ {
-		last, err = cl.RunDataCentric()
-		if err != nil {
-			t.Fatalf("step %d: %v", s, err)
-		}
+		last = trainStep(t, cl)
 	}
-	checkSurvivors(t, cl, last, ref)
+	checkSurvivors(t, cl, last.FinalOutputs)
 	totals := cl.RobustnessTotals()
 	if totals.Failovers != 1 || totals.Restores != 3 {
 		t.Fatalf("failovers=%d restores=%d, want 1 and 3 (from the older valid checkpoint)",
@@ -352,9 +349,7 @@ func TestCheckpointCarriesDenseAndStep(t *testing.T) {
 	}
 	defer cl.Close()
 	for s := 1; s <= 2; s++ {
-		if _, err := cl.RunDataCentric(); err != nil {
-			t.Fatal(err)
-		}
+		trainStep(t, cl)
 	}
 	snap, v, err := checkpoint.LoadLatest(dir)
 	if err != nil {
@@ -373,12 +368,14 @@ func TestCheckpointCarriesDenseAndStep(t *testing.T) {
 	if !tensor.Equal(gate, cl.layer.Gate.W) {
 		t.Fatal("dense entry does not round-trip the gate weights")
 	}
+	// Version 2 holds the weights after step 2's merge — what the
+	// cluster still trains on.
+	state, err := cl.ExpertState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for e := 0; e < cl.cfg.NumExperts; e++ {
-		ex, err := decodeExpert(snap.Experts[uint32(e)])
-		if err != nil {
-			t.Fatalf("expert %d: %v", e, err)
-		}
-		if !tensor.Equal(ex.W1, cl.layer.Experts[e].W1) || !tensor.Equal(ex.W2, cl.layer.Experts[e].W2) {
+		if !bytes.Equal(snap.Experts[uint32(e)], state[e]) {
 			t.Fatalf("expert %d weights do not round-trip", e)
 		}
 	}
@@ -447,9 +444,7 @@ func TestValidateAcceptsUnevenMachineSplit(t *testing.T) {
 			t.Fatalf("machine %d homes no experts", m)
 		}
 	}
-	if out, err := cl.RunDataCentric(); err != nil {
-		t.Fatal(err)
-	} else if len(out.Outputs) != cfg.Machines*cfg.WorkersPerNode {
-		t.Fatalf("got %d outputs", len(out.Outputs))
+	if out := trainStep(t, cl); len(out.FinalOutputs) != cfg.Machines*cfg.WorkersPerNode {
+		t.Fatalf("got %d outputs", len(out.FinalOutputs))
 	}
 }

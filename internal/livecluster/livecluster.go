@@ -17,10 +17,7 @@
 package livecluster
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -111,15 +108,9 @@ type Config struct {
 	// Exists for the split-brain differential experiment; leave false.
 	FencingDisabled bool
 	// SlowAfter is the per-peer EWMA latency threshold past which a
-	// peer is flagged as a gray failure (0 = never flag).
+	// peer is flagged as a gray failure (0 = never flag); the pipelined
+	// trainer shrinks its cross-step window while a peer is flagged.
 	SlowAfter time.Duration
-	// HedgeDelay, when positive, arms hedged pulls: a pull whose target
-	// is flagged slow is raced against this deterministic delay, and if
-	// the wire has not answered in time the freshest local replica is
-	// served instead (forward path only; versioned training pulls are
-	// never hedged). The wire result still refreshes the replica cache
-	// in the background.
-	HedgeDelay time.Duration
 
 	// Synchronous-replication knobs (see replication.go). All optional:
 	// with Replicas 0 the cluster behaves exactly as before.
@@ -128,8 +119,8 @@ type Config struct {
 	// expert keeps this many in-sync copies on machines other than its
 	// owner, streamed the owner's versioned post-merge weights (acked,
 	// epoch-fenced) at every step barrier. Failover promotes an in-sync
-	// replica losslessly; hedges and stale fallbacks serve in-sync
-	// replicas without staleness accounting.
+	// replica losslessly; failed pulls fall back to an in-sync replica
+	// without staleness accounting.
 	Replicas int
 	// ReplicateTop restricts replication to the N hottest experts by
 	// routed-token count (0 = replicate every expert).
@@ -190,45 +181,6 @@ func (c Config) Validate() error {
 
 func (c Config) numWorkers() int { return c.Machines * c.WorkersPerNode }
 
-// Result reports one live iteration.
-type Result struct {
-	// Outputs per worker (each TokensPerWorker × H).
-	Outputs []*tensor.Matrix
-	// CrossMachineBytes is the wire traffic that crossed machine
-	// boundaries (sum over machine pairs of TCP payloads).
-	CrossMachineBytes int64
-	// PullsServed is the total pull requests served by all machines.
-	PullsServed int64
-
-	// DegradedSteps is 1 if this iteration completed in degraded mode
-	// (at least one expert served stale or gradient push dropped),
-	// 0 otherwise.
-	DegradedSteps int
-	// StaleFetches counts experts served from a machine's last-known
-	// local copy because the owner stayed unreachable.
-	StaleFetches int64
-	// MaxStalenessSteps is the largest age, in iterations, of a stale
-	// expert served this iteration (0 when nothing was stale).
-	MaxStalenessSteps int
-	// DroppedGrads counts gradient pushes abandoned because the owner
-	// stayed unreachable past the retry budget.
-	DroppedGrads int64
-	// AliveMachines is how many machines the membership view considered
-	// alive at the end of the iteration (equals Machines when failover
-	// is disabled or nothing died).
-	AliveMachines int
-	// PartitionedMachines counts machines outside the authoritative
-	// side at the end of the iteration: without quorum in their own
-	// membership view, or frozen by the epoch fence.
-	PartitionedMachines int
-	// Robust aggregates the client-side retry/timeout/reconnect events
-	// of this iteration (deltas, summed over all machines' clients).
-	Robust metrics.RobustnessSnapshot
-}
-
-// Degraded reports whether the iteration used any fallback path.
-func (r Result) Degraded() bool { return r.DegradedSteps > 0 }
-
 // staleEntry is one machine's last successfully fetched copy of an
 // external expert, with the step of that fetch.
 type staleEntry struct {
@@ -247,8 +199,7 @@ type Cluster struct {
 	addrs   []string
 	clients []*transport.Client // one per machine (the Inter-Node Scheduler's)
 
-	step          int // iterations started (advances the injector's clock)
-	degradedTotal int // iterations completed in degraded mode
+	degradedTotal int // training steps completed in degraded mode
 
 	// Per-worker static state, built once at Start: the deterministic
 	// token batches, their gate routing, the derived per-expert /
@@ -288,7 +239,7 @@ type Cluster struct {
 	// and the quorum rule decides which side may act on its view.
 	viewMu           sync.Mutex
 	views            []*memberView
-	pendingStaleness int // staleness of replica-recovered experts, folded into the next Result
+	pendingStaleness int // staleness of replica-recovered experts, folded into the next TrainResult
 
 	// overrides pins migrated experts to their new owners (guarded by
 	// viewMu; see elastic.go): expert -> machine, consulted by the
@@ -354,8 +305,7 @@ type machineStore struct {
 	encFree  [][]byte
 	entFree  []*encEntry
 
-	grads map[transport.ExpertID]int
-	h     int
+	h int
 
 	// Versioned-training state (see train.go; zero until enableTraining).
 	trainOn      bool
@@ -515,22 +465,6 @@ func (s *machineStore) remove(id transport.ExpertID) {
 	s.mu.Unlock()
 }
 
-func (s *machineStore) AddGradient(id transport.ExpertID, payload []byte) error {
-	if isTrainGrad(payload) {
-		return s.addTrainGradWire(id, payload)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.experts[id]; !ok {
-		return fmt.Errorf("livecluster: expert %v not hosted", id)
-	}
-	if len(payload) == 0 {
-		return fmt.Errorf("livecluster: empty gradient for %v", id)
-	}
-	s.grads[id]++
-	return nil
-}
-
 // encodeExpert serialises expert weights as little-endian float32s:
 // W1 then W2. decodeExpert reverses it.
 func encodeExpert(e *moe.Expert) []byte {
@@ -598,14 +532,14 @@ func decodeExpertInto(dst *moe.Expert, buf []byte) (*moe.Expert, error) {
 	return e, nil
 }
 
-// routeIndex is one worker's routing, inverted for the per-iteration
-// forward: which tokens each expert sees and, per token, its combine
-// terms in ascending-expert order — the exact summation order of the
-// reference combine loop, so outputs stay bit-identical.
+// routeIndex is one worker's routing, inverted for the microbatch plan:
+// which tokens each expert sees and, per token, its combine terms in
+// ascending-expert order — the exact summation order of the reference
+// combine loop, so outputs stay bit-identical.
 type routeIndex struct {
-	tokens  [][]int     // expert -> routed tokens, ascending
+	tokens  [][]int      // expert -> routed tokens, ascending
 	byToken [][]combTerm // token -> combine terms, ascending expert
-	needed  []int       // experts with at least one token, ascending
+	needed  []int        // experts with at least one token, ascending
 }
 
 // combTerm is one (expert output row × weight) contribution to a token.
@@ -682,7 +616,6 @@ func Start(cfg Config) (*Cluster, error) {
 		store := &machineStore{
 			experts: make(map[transport.ExpertID]*moe.Expert),
 			enc:     make(map[transport.ExpertID]*encEntry),
-			grads:   make(map[transport.ExpertID]int),
 			h:       cfg.Hidden,
 		}
 		store.cond = sync.NewCond(&store.mu)
@@ -901,402 +834,6 @@ func (cl *Cluster) workerTokens() []*tensor.Matrix {
 	return xs
 }
 
-// RunDataCentric executes one forward pass the Janus way: each machine's
-// Inter-Node Scheduler pulls every external expert exactly once over
-// TCP (single flight), local workers share the cached copy, gradients
-// are pre-reduced per machine and pushed back once per expert.
-// For verifiability it runs forward only and pushes synthetic gradients
-// (the numeric backward equivalence is covered by internal/moe).
-func (cl *Cluster) RunDataCentric() (Result, error) {
-	cfg := cl.cfg
-	cl.step++
-	step := cl.step
-	if cfg.Injector != nil {
-		cfg.Injector.SetStep(step)
-	}
-	robustBefore := cl.robustSnapshot()
-	if cfg.FailoverEnabled {
-		// Membership first: a machine past its dead-man budget fails
-		// over before any worker routes to it this step.
-		cl.heartbeatRound(step)
-	}
-	outputs := make([]*tensor.Matrix, cfg.numWorkers())
-
-	// Per-step context: a fatally failed step cancels its own in-flight
-	// pulls and pushes instead of letting them run on in the background.
-	stepCtx, cancelStep := context.WithCancel(context.Background())
-	defer cancelStep()
-
-	var firstErr error
-	var errMu sync.Mutex
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancelStep()
-	}
-
-	// Degradation bookkeeping for this iteration.
-	var degMu sync.Mutex
-	var staleFetches, droppedGrads int64
-	maxStaleness := 0
-	noteStale := func(age int) {
-		degMu.Lock()
-		staleFetches++
-		if age > maxStaleness {
-			maxStaleness = age
-		}
-		degMu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	for m := 0; m < cfg.Machines; m++ {
-		m := m
-		if !cl.machineRuns(m) {
-			// Frozen by the epoch fence: the cluster failed this machine
-			// over and has not readmitted it, so it computes nothing.
-			// (A machine that merely lost quorum keeps computing in
-			// degraded mode — its pushes are fenced on the wire.)
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The machine's Cache Manager: local experts direct; each
-			// external expert is fetched by exactly one wire pull, with
-			// later requesters waiting on the first (single flight owned
-			// here, not delegated to the transport, so an entry survives
-			// after the wire call returns).
-			type cacheEntry struct {
-				done    chan struct{}
-				ex      *moe.Expert
-				err     error
-				retried bool // this entry is already the one-shot replacement
-			}
-			var cacheMu sync.Mutex
-			cache := make(map[int]*cacheEntry)
-			retrying := make(map[int]bool)
-			fetch := func(e int) (*moe.Expert, error) {
-				owner := cl.ownerFor(m, e)
-				if owner == m {
-					return cl.localExpert(m, e)
-				}
-			join:
-				cacheMu.Lock()
-				if ent, ok := cache[e]; ok {
-					cacheMu.Unlock()
-					<-ent.done
-					if ent.err == nil || ent.retried {
-						return ent.ex, ent.err
-					}
-					// The in-flight pull we joined — typically one of the
-					// advisory prefetch wave, whose correlated timeouts
-					// under fault injection can exhaust a whole retry
-					// budget at once — failed. Drop the entry and pull
-					// again with a fresh budget rather than inheriting
-					// the failure; the replacement entry is marked so a
-					// second failure is final, bounding the loop.
-					cacheMu.Lock()
-					if cache[e] == ent {
-						delete(cache, e)
-					}
-					cacheMu.Unlock()
-					goto join
-				}
-				ent := &cacheEntry{done: make(chan struct{}), retried: retrying[e]}
-				retrying[e] = true
-				cache[e] = ent
-				cacheMu.Unlock()
-
-				// Failover-aware pull: the target follows this machine's
-				// ownership view, and a RemoteError from a machine that
-				// turns out not to own the expert triggers a bounded
-				// re-resolve against the (possibly updated) view.
-				pullWire := func() ([]byte, error) {
-					owner := owner
-					var payload []byte
-					var err error
-					for resolve := 0; resolve < 3; resolve++ {
-						payload, err = cl.clients[m].Pull(stepCtx,
-							cl.addrs[owner], transport.ExpertID{Expert: uint32(e)})
-						var re *transport.RemoteError
-						if err == nil || !errors.As(err, &re) {
-							break
-						}
-						next := cl.ownerFor(m, e)
-						if next == owner || next == m {
-							break // view agrees with the responder (or moved here)
-						}
-						owner = next
-					}
-					return payload, err
-				}
-
-				var payload []byte
-				var err error
-				pulled, hedged := false, false
-				if cfg.HedgeDelay > 0 && cl.clients[m].PeerSlow(cl.addrs[owner]) {
-					cl.staleMu.Lock()
-					old := cl.stale[m][e]
-					cl.staleMu.Unlock()
-					// An in-sync replica held by this machine outranks the
-					// stale cache as the hedge copy: it matches the owner's
-					// current version, so a hedge it wins is a lossless
-					// serve — no StaleFetches, no degradation mode.
-					hedgeEx, inSync := cl.localInSyncReplica(m, e)
-					if hedgeEx == nil && old != nil {
-						hedgeEx = old.ex
-					}
-					if hedgeEx != nil {
-						// Gray-failure hedge: the owner is flagged slow and a
-						// local copy exists, so race the wire pull against
-						// a deterministic delay and serve the copy if the
-						// wire has not answered in time. The slow pull still
-						// refreshes the replica cache in the background.
-						pulled = true
-						cl.clients[m].Robust.AddHedgedPull()
-						type pullOut struct {
-							payload []byte
-							err     error
-						}
-						ch := make(chan pullOut, 1)
-						go func() {
-							p, perr := pullWire()
-							ch <- pullOut{p, perr}
-						}()
-						timer := time.NewTimer(cfg.HedgeDelay)
-						select {
-						case r := <-ch:
-							timer.Stop()
-							payload, err = r.payload, r.err
-						case <-timer.C:
-							cl.clients[m].Robust.AddHedgeWon()
-							if inSync {
-								cl.clients[m].Robust.AddInSyncHedge()
-							}
-							hedged = true
-							ent.ex = hedgeEx
-							go func() {
-								r := <-ch
-								if r.err != nil {
-									return
-								}
-								if ex2, derr := decodeExpert(r.payload); derr == nil {
-									cl.staleMu.Lock()
-									if cur := cl.stale[m][e]; cur == nil || cur.step <= step {
-										cl.stale[m][e] = &staleEntry{ex: ex2, payload: r.payload, step: step}
-									}
-									cl.staleMu.Unlock()
-								}
-							}()
-						}
-					}
-				}
-				if !pulled {
-					payload, err = pullWire()
-				}
-				if hedged {
-					// The replica is already in ent.ex; skip decode/fallback.
-				} else if err == nil {
-					// Decode is a pure function of the wire bytes, so if the
-					// payload is byte-identical to the last fetch's, the
-					// previously decoded copy is exactly what decode would
-					// produce — reuse it instead of re-decoding.
-					cl.staleMu.Lock()
-					old := cl.stale[m][e]
-					cl.staleMu.Unlock()
-					if old != nil && bytes.Equal(old.payload, payload) {
-						ent.ex = old.ex
-					} else {
-						ent.ex, ent.err = decodeExpert(payload)
-					}
-				} else {
-					var fe *transport.FencedEpochError
-					if errors.As(err, &fe) {
-						// Our membership epoch is stale: the cluster moved on
-						// without us. Record it (freezes this machine unless
-						// readmitted) and degrade this fetch like any other
-						// unreachable-owner case.
-						cl.noteFenced(m, fe)
-					}
-					ent.err = err
-				}
-				if ent.err == nil {
-					// Refresh the machine's last-known copy (the §5.1.2
-					// Cache Manager's durable layer). A hedge-served replica
-					// skips this: its cache entry is refreshed by the
-					// background pull instead.
-					if !hedged {
-						cl.staleMu.Lock()
-						cl.stale[m][e] = &staleEntry{ex: ent.ex, payload: payload, step: step}
-						cl.staleMu.Unlock()
-					}
-				} else if cfg.StaleFallback {
-					// Lossless first: a surviving in-sync replica is
-					// bit-identical to the copy the unreachable owner would
-					// have served (forward-mode weights are immutable, so
-					// every applied replica is at version 0 = in sync) — no
-					// staleness to account. Only without one degrade to the
-					// last-known copy instead of aborting the step.
-					if rep := cl.replicaServe(e, 0); rep != nil {
-						cl.clients[m].Robust.AddReplicaServe()
-						ent.ex, ent.err = rep, nil
-					} else {
-						cl.staleMu.Lock()
-						old, ok := cl.stale[m][e]
-						cl.staleMu.Unlock()
-						if ok {
-							cl.clients[m].Robust.AddStaleServe()
-							noteStale(step - old.step)
-							ent.ex, ent.err = old.ex, nil
-						}
-					}
-				}
-				close(ent.done)
-				return ent.ex, ent.err
-			}
-
-			// Prefetch: kick off the pull for every external expert the
-			// machine's workers will need, all overlapped (bounded by the
-			// client's credit window). Workers join the in-flight entries
-			// through the single-flight cache, so each expert is still
-			// fetched exactly once and wire traffic is unchanged — only
-			// the fetch latency stops serialising the forward pass.
-			var pwg sync.WaitGroup
-			for _, e := range cl.needs[m] {
-				if cl.ownerFor(m, e) == m {
-					continue
-				}
-				e := e
-				pwg.Add(1)
-				go func() {
-					defer pwg.Done()
-					fetch(e) // outcome is consumed via the cache entry
-				}()
-			}
-
-			var mwg sync.WaitGroup
-			for lw := 0; lw < cfg.WorkersPerNode; lw++ {
-				w := m*cfg.WorkersPerNode + lw
-				mwg.Add(1)
-				go func() {
-					defer mwg.Done()
-					out, err := cl.forwardWorker(w, fetch)
-					if err != nil {
-						setErr(err)
-						return
-					}
-					outputs[w] = out
-				}()
-			}
-			mwg.Wait()
-			pwg.Wait()
-
-			// Gradient pre-reduce: one synthetic gradient per external
-			// expert per machine (backward numeric path is exercised in
-			// internal/moe; here we exercise the wire protocol). Pushes
-			// to distinct owners are independent, so they run overlapped.
-			var gwg sync.WaitGroup
-			for e := 0; e < cfg.NumExperts; e++ {
-				owner := cl.ownerFor(m, e)
-				if owner == m {
-					continue
-				}
-				e, owner := e, owner
-				gwg.Add(1)
-				go func() {
-					defer gwg.Done()
-					grad := make([]byte, 8)
-					binary.LittleEndian.PutUint64(grad, uint64(e))
-					if err := cl.clients[m].PushGradient(stepCtx, cl.addrs[owner],
-						transport.ExpertID{Expert: uint32(e)}, grad); err != nil {
-						var fe *transport.FencedEpochError
-						if errors.As(err, &fe) {
-							cl.noteFenced(m, fe)
-						}
-						if cfg.StaleFallback {
-							// Owner unreachable (or fenced us out): the
-							// contribution is dropped this step (it would be
-							// retried from fresh activations next step in a
-							// real trainer).
-							degMu.Lock()
-							droppedGrads++
-							degMu.Unlock()
-						} else {
-							setErr(err)
-						}
-					}
-				}()
-			}
-			gwg.Wait()
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	cl.recordExpertLoad()
-	// Synchronous replication barrier: owners stream this iteration's
-	// weights to their replica sets (acked) before the result is up, and
-	// the anti-entropy sweep repairs any divergence on its cadence.
-	cl.replicateStep()
-	cl.antiEntropy(step)
-	// A machine outside the authoritative view may still have computed
-	// (a zombie ex-member, or a fenced machine that froze mid-step); its
-	// workers' outputs are discarded — the cluster's answer is the
-	// authoritative side's.
-	if cfg.FailoverEnabled {
-		for m := 0; m < cfg.Machines; m++ {
-			if cl.isAlive(m) {
-				continue
-			}
-			for lw := 0; lw < cfg.WorkersPerNode; lw++ {
-				outputs[m*cfg.WorkersPerNode+lw] = nil
-			}
-		}
-	}
-	if err := cl.maybeCheckpoint(step); err != nil {
-		return Result{}, err
-	}
-	// Fold in the staleness of any replica-recovered experts from a
-	// failover that ran at the top of this step.
-	cl.viewMu.Lock()
-	if cl.pendingStaleness > maxStaleness {
-		maxStaleness = cl.pendingStaleness
-	}
-	cl.pendingStaleness = 0
-	cl.viewMu.Unlock()
-	res := Result{
-		Outputs:           outputs,
-		CrossMachineBytes: cl.wireBytes(),
-		PullsServed:       cl.pullsServed(),
-		StaleFetches:      staleFetches,
-		MaxStalenessSteps: maxStaleness,
-		DroppedGrads:        droppedGrads,
-		AliveMachines:       cl.AliveMachines(),
-		PartitionedMachines: cl.PartitionedMachines(),
-		Robust:              cl.robustSnapshot().Sub(robustBefore),
-	}
-	if staleFetches > 0 || droppedGrads > 0 {
-		res.DegradedSteps = 1
-		res.Robust.DegradedSteps = 1
-		cl.degradedTotal++
-	}
-	return res, nil
-}
-
-// localExpert serves an expert this machine currently owns, from its
-// store (the authoritative copy — after a failover that is the
-// restored object, not the seed layer's).
-func (cl *Cluster) localExpert(m, e int) (*moe.Expert, error) {
-	if ex, ok := cl.stores[m].get(transport.ExpertID{Expert: uint32(e)}); ok {
-		return ex, nil
-	}
-	return nil, fmt.Errorf("livecluster: machine %d owns expert %d but does not host it", m, e)
-}
-
 // robustSnapshot sums all machine clients' robustness counters plus the
 // cluster-level failover/checkpoint counters and the servers' fence
 // rejections.
@@ -1311,9 +848,6 @@ func (cl *Cluster) robustSnapshot() metrics.RobustnessSnapshot {
 	return sum
 }
 
-// Step returns how many iterations the cluster has started.
-func (cl *Cluster) Step() int { return cl.step }
-
 // RobustnessTotals returns the cumulative client-side robustness
 // counters since the cluster started (plus server-side gradient
 // dedups folded into GradDups).
@@ -1326,46 +860,17 @@ func (cl *Cluster) RobustnessTotals() metrics.RobustnessSnapshot {
 	return sum
 }
 
-// forwardWorker computes one worker's tokens against every routed
-// expert using fetched weights, combining in expert-index order (the
-// same order as the reference implementation in internal/moe, so the
-// outputs compare bit-for-bit). The token gather and the routing
-// inversion are precomputed at Start; per iteration only the expert
-// matmuls and the combine run.
-func (cl *Cluster) forwardWorker(w int, fetch func(int) (*moe.Expert, error)) (*tensor.Matrix, error) {
-	ri := cl.rindex[w]
-	x := cl.xs[w]
-	out := tensor.New(x.Rows, cl.cfg.Hidden)
-	yes := make([]*tensor.Matrix, cl.cfg.NumExperts)
-	for _, e := range ri.needed {
-		expert, err := fetch(e)
-		if err != nil {
-			return nil, err
-		}
-		ye, fc := expert.Forward(cl.xes[w][e])
-		fc.Release() // forward-only: the backward scratch goes straight back
-		yes[e] = ye
-	}
-	for t := 0; t < x.Rows; t++ {
-		for _, c := range ri.byToken[t] {
-			out.AddScaledRow(t, yes[c.expert].Row(c.row), c.weight)
-		}
-	}
-	for _, e := range ri.needed {
-		tensor.Put(yes[e])
-	}
-	return out, nil
-}
-
 // RunExpertCentricReference computes the same forward pass with the
 // in-process expert-centric reference (no network), for comparison.
 func (cl *Cluster) RunExpertCentricReference() []*tensor.Matrix {
 	return cl.layer.ForwardBackwardExpertCentric(cl.xs, nil).Outputs
 }
 
-// TokenExchangeBytes returns the bytes an expert-centric token exchange
-// would push across machine boundaries for this workload (dispatch +
-// combine, fp32 like the live payloads), for the traffic comparison.
+// TokenExchangeBytes returns the bytes one expert-centric training step
+// would push across machine boundaries for this workload: forward
+// dispatch and combine plus their two backward transfers, fp32 like the
+// live payloads. A data-centric step moves an expert pull and a
+// same-sized gradient push, so the comparison is like for like.
 func (cl *Cluster) TokenExchangeBytes() int64 {
 	cfg := cl.cfg
 	var cross int64
@@ -1375,7 +880,7 @@ func (cl *Cluster) TokenExchangeBytes() int64 {
 		for t := 0; t < x.Rows; t++ {
 			for _, e := range routing.Experts[t] {
 				if cl.homeMachine(e) != machine {
-					cross += int64(4 * cfg.Hidden * 2) // token there + result back
+					cross += int64(4 * cfg.Hidden * 4) // token there + result back, and both gradients
 				}
 			}
 		}

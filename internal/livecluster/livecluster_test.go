@@ -65,8 +65,9 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// The headline live test: the data-centric forward over real TCP equals
-// the in-process expert-centric reference bit for bit.
+// The headline live test: the first data-centric training step over
+// real TCP computes on untouched weights, so its outputs equal the
+// in-process expert-centric reference bit for bit.
 func TestLiveEquivalence(t *testing.T) {
 	cl, err := Start(defaultCfg())
 	if err != nil {
@@ -74,27 +75,24 @@ func TestLiveEquivalence(t *testing.T) {
 	}
 	defer cl.Close()
 
-	res, err := cl.RunDataCentric()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainStep(t, cl)
 	ref := cl.RunExpertCentricReference()
-	if len(res.Outputs) != len(ref) {
-		t.Fatalf("output counts differ: %d vs %d", len(res.Outputs), len(ref))
+	if len(res.FinalOutputs) != len(ref) {
+		t.Fatalf("output counts differ: %d vs %d", len(res.FinalOutputs), len(ref))
 	}
 	for w := range ref {
-		if res.Outputs[w] == nil {
+		if res.FinalOutputs[w] == nil {
 			t.Fatalf("worker %d produced no output", w)
 		}
-		if !tensor.Equal(res.Outputs[w], ref[w]) {
+		if !tensor.Equal(res.FinalOutputs[w], ref[w]) {
 			t.Fatalf("worker %d output differs: max diff %v", w,
-				tensor.MaxAbsDiff(res.Outputs[w], ref[w]))
+				tensor.MaxAbsDiff(res.FinalOutputs[w], ref[w]))
 		}
 	}
 }
 
-// Hierarchical fetch: each machine pulls each external expert exactly
-// once, no matter how many local workers need it.
+// Hierarchical fetch: each machine pulls each external expert at most
+// once per step, no matter how many local workers need it.
 func TestLiveSingleFetchPerMachine(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.WorkersPerNode = 4 // more workers sharing the cache
@@ -103,24 +101,28 @@ func TestLiveSingleFetchPerMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := cl.RunDataCentric()
-	if err != nil {
-		t.Fatal(err)
+	trainStep(t, cl)
+	// At most one pull per (machine, routed expert it does not own).
+	want := int64(0)
+	for m, needed := range cl.needs {
+		for _, e := range needed {
+			if cl.currentOwner(e) != m {
+				want++
+			}
+		}
 	}
-	// 8 experts, 2 machines -> 4 external per machine -> 8 pulls total,
-	// assuming every expert is needed by someone on each machine (with
-	// 4 workers x 12 tokens x top-2 over 8 experts this is essentially
-	// certain; assert <= as the invariant and > 0 as liveness).
-	if res.PullsServed > 8 {
-		t.Fatalf("pulls served = %d, want <= 8 (single flight per machine)", res.PullsServed)
+	pulls := cl.pullsServed()
+	if pulls > want {
+		t.Fatalf("pulls served = %d, want <= %d (single flight per machine)", pulls, want)
 	}
-	if res.PullsServed == 0 {
+	if pulls == 0 {
 		t.Fatal("no pulls at all")
 	}
 }
 
-// The live traffic comparison: expert exchange moves fewer bytes than
-// token exchange whenever R > 1 for the live shape.
+// The live traffic comparison: a data-centric training step (expert
+// pulls plus same-sized gradient pushes) moves fewer bytes than an
+// expert-centric training step's token exchange whenever R > 1.
 func TestLiveTrafficReduction(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.TokensPerWorker = 256 // R = T/(4nHE) = 256*2/(4*2*16*2) = 2
@@ -129,36 +131,37 @@ func TestLiveTrafficReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := cl.RunDataCentric()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainStep(t, cl)
 	tokenBytes := cl.TokenExchangeBytes()
 	if res.CrossMachineBytes >= tokenBytes {
 		t.Fatalf("expert fetch moved %d bytes, token exchange %d — no reduction",
 			res.CrossMachineBytes, tokenBytes)
 	}
-	t.Logf("live traffic: data-centric %d bytes vs expert-centric %d bytes (%.1fx reduction)",
+	t.Logf("live traffic per training step: data-centric %d bytes vs expert-centric %d bytes (%.2fx reduction)",
 		res.CrossMachineBytes, tokenBytes, float64(tokenBytes)/float64(res.CrossMachineBytes))
 }
 
-// Each machine pushes exactly one (pre-reduced) gradient per external
-// expert to the owner.
+// Each machine pushes exactly one pre-reduced gradient per external
+// expert it routes to: an owner accepts one push per (other machine,
+// owned expert) pair where that machine routes tokens to the expert.
 func TestLiveGradientPreReduce(t *testing.T) {
 	cl, err := Start(defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.RunDataCentric(); err != nil {
-		t.Fatal(err)
+	trainStep(t, cl)
+	want := make([]int64, cl.cfg.Machines)
+	for m, needed := range cl.needs {
+		for _, e := range needed {
+			if owner := cl.currentOwner(e); owner != m {
+				want[owner]++
+			}
+		}
 	}
-	grads := cl.GradsAccepted()
-	// 8 experts on 2 machines: machine 0 owns 0-3, machine 1 owns 4-7;
-	// each receives one gradient per owned expert from the other machine.
-	for mi, g := range grads {
-		if g != 4 {
-			t.Fatalf("machine %d accepted %d grads, want 4", mi, g)
+	for m, g := range cl.GradsAccepted() {
+		if g != want[m] {
+			t.Fatalf("machine %d accepted %d grads, want %d", m, g, want[m])
 		}
 	}
 }
@@ -191,16 +194,11 @@ func TestExpertCodecRejectsGarbage(t *testing.T) {
 
 func TestLiveDeterministicOutputs(t *testing.T) {
 	run := func() []*tensor.Matrix {
-		cl, err := Start(defaultCfg())
-		if err != nil {
-			t.Fatal(err)
+		_, res, out := runTrain(t, defaultCfg, TrainOptions{Steps: 2})
+		if res.Steps != 2 {
+			t.Fatalf("ran %d steps, want 2", res.Steps)
 		}
-		defer cl.Close()
-		res, err := cl.RunDataCentric()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Outputs
+		return out
 	}
 	a, b := run(), run()
 	for w := range a {
@@ -219,17 +217,14 @@ func TestSingleMachineNoNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := cl.RunDataCentric()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CrossMachineBytes != 0 || res.PullsServed != 0 {
+	res := trainStep(t, cl)
+	if pulls := cl.pullsServed(); res.CrossMachineBytes != 0 || pulls != 0 {
 		t.Fatalf("single machine used the network: %d bytes, %d pulls",
-			res.CrossMachineBytes, res.PullsServed)
+			res.CrossMachineBytes, pulls)
 	}
 	ref := cl.RunExpertCentricReference()
 	for w := range ref {
-		if !tensor.Equal(res.Outputs[w], ref[w]) {
+		if !tensor.Equal(res.FinalOutputs[w], ref[w]) {
 			t.Fatal("single-machine outputs differ from reference")
 		}
 	}

@@ -104,8 +104,12 @@ type TrainResult struct {
 	// PartitionedMachines counts machines outside the authoritative
 	// membership side when the run finished (no quorum, or fenced out).
 	PartitionedMachines int
-	Robust              metrics.RobustnessSnapshot
-	Pipeline            metrics.PipelineSnapshot
+	// CrossMachineBytes is the wire traffic the machines' clients sent
+	// and received during the call (expert pulls, gradient pushes, and
+	// any heartbeat, replication or membership traffic).
+	CrossMachineBytes int64
+	Robust            metrics.RobustnessSnapshot
+	Pipeline          metrics.PipelineSnapshot
 }
 
 // syncedTraining reports whether pipelined training must keep the
@@ -123,9 +127,12 @@ func (cl *Cluster) syncedTraining() bool {
 	return cfg.Injector != nil && !cfg.Injector.OutcomeNeutral()
 }
 
-// Train runs opts.Steps training steps. Not safe for concurrent use
-// with itself or RunDataCentric; successive calls continue the same
-// weight trajectory.
+// Train runs opts.Steps training steps — the cluster's only step
+// engine. Each step pulls every external expert once per machine, runs
+// forward and backward, and pushes one pre-reduced gradient per expert
+// to its owner. Not safe for concurrent use with itself; successive
+// calls continue the same weight trajectory, so Train{Steps: 1} per call
+// drives a run one step at a time.
 func (cl *Cluster) Train(opts TrainOptions) (TrainResult, error) {
 	cfg := cl.cfg
 	if opts.Steps <= 0 {
@@ -202,8 +209,7 @@ func (cl *Cluster) trainSynced(opts TrainOptions, streamed bool) (TrainResult, e
 	cfg := cl.cfg
 	st := cl.train
 	tr := st.rt
-	robustBefore := cl.robustSnapshot()
-	pipeBefore := st.pipe.Snapshot()
+	before := cl.callBaseline()
 	base := st.steps
 	outputs := tr.callOutputs(opts.ReuseOutputs)
 
@@ -268,7 +274,7 @@ func (cl *Cluster) trainSynced(opts TrainOptions, streamed bool) (TrainResult, e
 		}
 		st.steps = s
 	}
-	return cl.trainResult(opts, outputs, &tr.deg, robustBefore, pipeBefore, true), nil
+	return cl.trainResult(opts, outputs, &tr.deg, before, true), nil
 }
 
 // runMembershipEvents executes the step's scheduled elastic-membership
@@ -300,8 +306,7 @@ func (cl *Cluster) trainOverlap(opts TrainOptions) (TrainResult, error) {
 	cfg := cl.cfg
 	st := cl.train
 	tr := st.rt
-	robustBefore := cl.robustSnapshot()
-	pipeBefore := st.pipe.Snapshot()
+	before := cl.callBaseline()
 	base := st.steps
 	outputs := tr.callOutputs(opts.ReuseOutputs)
 	if cfg.Injector != nil {
@@ -319,10 +324,22 @@ func (cl *Cluster) trainOverlap(opts TrainOptions) (TrainResult, error) {
 		return TrainResult{}, err
 	}
 	st.steps = base + opts.Steps
-	return cl.trainResult(opts, outputs, &tr.deg, robustBefore, pipeBefore, false), nil
+	return cl.trainResult(opts, outputs, &tr.deg, before, false), nil
 }
 
-func (cl *Cluster) trainResult(opts TrainOptions, outputs []*tensor.Matrix, deg *runDeg, robustBefore metrics.RobustnessSnapshot, pipeBefore metrics.PipelineSnapshot, synced bool) TrainResult {
+// callBaseline is the cumulative counters at the start of a Train
+// call; trainResult reports the call's deltas against it.
+type callBaseline struct {
+	robust metrics.RobustnessSnapshot
+	pipe   metrics.PipelineSnapshot
+	wire   int64
+}
+
+func (cl *Cluster) callBaseline() callBaseline {
+	return callBaseline{robust: cl.robustSnapshot(), pipe: cl.train.pipe.Snapshot(), wire: cl.wireBytes()}
+}
+
+func (cl *Cluster) trainResult(opts TrainOptions, outputs []*tensor.Matrix, deg *runDeg, before callBaseline, synced bool) TrainResult {
 	// Workers outside the authoritative membership side (zombies that
 	// kept computing without quorum) do not contribute outputs.
 	if cl.cfg.FailoverEnabled {
@@ -351,8 +368,9 @@ func (cl *Cluster) trainResult(opts TrainOptions, outputs []*tensor.Matrix, deg 
 		DegradedSteps:       len(deg.steps),
 		AliveMachines:       cl.AliveMachines(),
 		PartitionedMachines: cl.PartitionedMachines(),
-		Robust:              cl.robustSnapshot().Sub(robustBefore),
-		Pipeline:            cl.train.pipe.Snapshot().Sub(pipeBefore),
+		CrossMachineBytes:   cl.wireBytes() - before.wire,
+		Robust:              cl.robustSnapshot().Sub(before.robust),
+		Pipeline:            cl.train.pipe.Snapshot().Sub(before.pipe),
 	}
 	deg.mu.Unlock()
 	cl.degradedTotal += res.DegradedSteps

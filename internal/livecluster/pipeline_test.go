@@ -30,6 +30,45 @@ func runTrain(t *testing.T, mkcfg func() Config, opts TrainOptions) ([][]byte, T
 	return state, res, res.FinalOutputs
 }
 
+// trainStep runs one lockstep training step on cl, failing the test on
+// error — the per-step driver of the fault and membership tests.
+func trainStep(t *testing.T, cl *Cluster) TrainResult {
+	t.Helper()
+	res, err := cl.Train(TrainOptions{Steps: 1})
+	if err != nil {
+		t.Fatalf("step %d: %v", cl.TrainSteps()+1, err)
+	}
+	return res
+}
+
+// startTwin starts an undisturbed cluster from mkcfg, closed with the
+// test — the reference a disturbed run is stepped alongside.
+func startTwin(t *testing.T, mkcfg func() Config) *Cluster {
+	t.Helper()
+	twin, err := Start(mkcfg())
+	if err != nil {
+		t.Fatalf("Start twin: %v", err)
+	}
+	t.Cleanup(twin.Close)
+	return twin
+}
+
+// assertSameTrained compares two clusters' expert weights and the given
+// step outputs bitwise.
+func assertSameTrained(t *testing.T, name string, a, b *Cluster, aOut, bOut []*tensor.Matrix) {
+	t.Helper()
+	as, err := a.ExpertState()
+	if err != nil {
+		t.Fatalf("%s: ExpertState: %v", name, err)
+	}
+	bs, err := b.ExpertState()
+	if err != nil {
+		t.Fatalf("%s: ExpertState: %v", name, err)
+	}
+	assertSameState(t, name, as, bs)
+	assertSameOutputs(t, name, aOut, bOut)
+}
+
 func assertSameState(t *testing.T, name string, a, b [][]byte) {
 	t.Helper()
 	if len(a) != len(b) {

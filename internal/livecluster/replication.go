@@ -1,5 +1,5 @@
 // Synchronous hot-expert replication: lossless failover, in-sync
-// hedging, and anti-entropy repair.
+// fallback serving, and anti-entropy repair.
 //
 // The planner assigns each replicated expert Replicas machines besides
 // its owner — popularity-ordered (the hottest experts claim capacity
@@ -15,8 +15,8 @@
 // inside the same quorum-gated, epoch-fenced recompute PR 5 failover
 // uses — and the run continues bit-for-bit as if the owner had never
 // died. Only when no replica acked that version does recovery fall back
-// to the lossy stale-replica/checkpoint path. Hedged pulls and stale
-// fallbacks prefer in-sync replicas too, and serve them without any
+// to the lossy stale-replica/checkpoint path. Failed pulls prefer an
+// in-sync replica over the stale cache too, and serve it without any
 // staleness accounting.
 //
 // The anti-entropy sweep runs on a seeded cadence: it repairs replica
@@ -578,28 +578,4 @@ func (cl *Cluster) replicaServe(e int, want uint64) *moe.Expert {
 		}
 	}
 	return nil
-}
-
-// localInSyncReplica returns machine m's own replica copy of expert e
-// when it matches the owner's current version — the hedge's lossless
-// serving copy. The owner is slow, not dead, so its version counter is
-// still readable; the in-process read stands in for the version-digest
-// probe a multi-process deployment would piggyback on the hedge timer.
-func (cl *Cluster) localInSyncReplica(m, e int) (*moe.Expert, bool) {
-	if !cl.replicationOn() || m < 0 || m >= len(cl.stores) {
-		return nil, false
-	}
-	id := transport.ExpertID{Expert: uint32(e)}
-	ent, ok := cl.stores[m].replicaAt(id)
-	if !ok {
-		return nil, false
-	}
-	owner := cl.currentOwner(e)
-	if owner < 0 || owner >= len(cl.stores) || owner == m {
-		return nil, false
-	}
-	if cl.stores[owner].versionOf(id) != ent.ver {
-		return nil, false
-	}
-	return ent.ex, true
 }

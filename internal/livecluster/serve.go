@@ -144,9 +144,9 @@ func (b *ServeBackend) NumExperts() int { return b.cl.cfg.NumExperts }
 // Hidden returns the model's hidden width H.
 func (b *ServeBackend) Hidden() int { return b.cl.cfg.Hidden }
 
-// Step returns the cluster's current training step — the staleness
+// Step returns the cluster's completed training steps — the staleness
 // clock the front-end's local weight cache ages against.
-func (b *ServeBackend) Step() int { return b.cl.step }
+func (b *ServeBackend) Step() int { return b.cl.TrainSteps() }
 
 // OwnerAddr returns the dial address of the expert's current owner
 // under the authoritative membership view, when one is alive.
@@ -197,7 +197,7 @@ func (b *ServeBackend) FetchExpert(expert int) (*moe.Expert, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("livecluster: expert %d missing from owner %d", expert, o)
 	}
-	return ex.Clone(), b.cl.step, nil
+	return ex.Clone(), b.cl.TrainSteps(), nil
 }
 
 // SyncReplicas arms the replica plan (when not yet armed) and runs one

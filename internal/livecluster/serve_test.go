@@ -192,3 +192,25 @@ func TestExportSnapshotPlaneMatchesLiveWeights(t *testing.T) {
 		tensor.Put(x)
 	}
 }
+
+// The serving front-end's staleness clock is the trainer's step count:
+// after three training steps the backend reports step 3, and weights
+// fetched for the stale cache are stamped with it.
+func TestServeBackendStepFollowsTrainer(t *testing.T) {
+	cl, err := Start(serveCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if _, err := cl.Train(TrainOptions{Steps: 3}); err != nil {
+		t.Fatal(err)
+	}
+	b := cl.ServeBackend()
+	t.Cleanup(b.Close)
+	if got := b.Step(); got != 3 {
+		t.Fatalf("backend step = %d after 3 training steps, want 3", got)
+	}
+	if _, step, err := b.FetchExpert(0); err != nil || step != 3 {
+		t.Fatalf("FetchExpert stamp = %d (err %v), want 3", step, err)
+	}
+}

@@ -36,8 +36,7 @@ import (
 	"janus/internal/transport"
 )
 
-// trainGradMagic prefixes training gradient payloads on the wire,
-// distinguishing them from the legacy 8-byte synthetic gradients.
+// trainGradMagic prefixes training gradient payloads on the wire.
 const trainGradMagic = 0x4A475231 // "JGR1"
 
 // trainGradHeaderBytes is magic + step (u64) + source machine (u32).
@@ -74,18 +73,10 @@ func encodeTrainGrad(step uint64, source int, g *moe.ExpertGrad) []byte {
 	return encodeTrainGradInto(nil, step, source, g)
 }
 
-// isTrainGrad reports whether a gradient payload carries the training
-// format (the legacy synthetic payload is 8 bytes, shorter than the
-// training header, so the check cannot misfire).
-func isTrainGrad(payload []byte) bool {
-	return len(payload) >= trainGradHeaderBytes &&
-		binary.BigEndian.Uint32(payload[0:4]) == trainGradMagic
-}
-
 // parseTrainGradHeader validates a training gradient payload for hidden
 // size h and returns its header fields without decoding the floats.
 func parseTrainGradHeader(payload []byte, h int) (step uint64, source int, err error) {
-	if !isTrainGrad(payload) {
+	if len(payload) < trainGradHeaderBytes || binary.BigEndian.Uint32(payload[0:4]) != trainGradMagic {
 		return 0, 0, fmt.Errorf("livecluster: bad training gradient magic")
 	}
 	n1 := h * 4 * h
@@ -367,10 +358,11 @@ func (s *machineStore) addTrainGrad(id transport.ExpertID, step uint64, source i
 	return nil
 }
 
-// addTrainGradWire decodes a wire-format training gradient into a
-// pooled buffer and records it. The payload is only valid during the
-// call (transport contract), so the floats are copied out here.
-func (s *machineStore) addTrainGradWire(id transport.ExpertID, payload []byte) error {
+// AddGradient implements transport.Store: it decodes a pushed JGR1
+// training gradient into a pooled buffer and records it. The payload is
+// only valid during the call (transport contract), so the floats are
+// copied out here.
+func (s *machineStore) AddGradient(id transport.ExpertID, payload []byte) error {
 	step, source, err := parseTrainGradHeader(payload, s.h)
 	if err != nil {
 		return err

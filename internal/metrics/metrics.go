@@ -111,14 +111,10 @@ type Robustness struct {
 	checkpointBytes atomic.Int64
 	checkpointNanos atomic.Int64
 
-	// Partition/gray-failure counters: requests rejected by epoch
-	// fencing, heartbeat rounds a machine froze for lack of quorum, and
-	// expert pulls hedged to a replica because the owner looked slow
-	// (with how many the hedge actually won).
+	// Partition counters: requests rejected by epoch fencing, and
+	// heartbeat rounds a machine froze for lack of quorum.
 	fenceRejections atomic.Int64
 	quorumStalls    atomic.Int64
-	hedgedPulls     atomic.Int64
-	hedgesWon       atomic.Int64
 
 	// Elastic-membership counters: machines admitted into a running
 	// cluster, experts whose ownership moved through a completed live
@@ -132,14 +128,13 @@ type Robustness struct {
 	// streams that could not be delivered (the replica lags until the
 	// next sync or anti-entropy sweep), in-sync replicas promoted to
 	// owner on failover, versioned pulls served from an in-sync replica
-	// with zero staleness, hedges won by an in-sync replica, replicas
-	// re-streamed by the anti-entropy sweep, and replica-set membership
-	// retargets (migration FENCE substitutions and sweep top-ups).
+	// with zero staleness, replicas re-streamed by the anti-entropy
+	// sweep, and replica-set membership retargets (migration FENCE
+	// substitutions and sweep top-ups).
 	replPushes    atomic.Int64
 	replFailures  atomic.Int64
 	promotions    atomic.Int64
 	replicaServes atomic.Int64
-	inSyncHedges  atomic.Int64
 	replRepairs   atomic.Int64
 	replRetargets atomic.Int64
 }
@@ -189,14 +184,6 @@ func (r *Robustness) AddFenceRejection() { r.fenceRejections.Add(1) }
 // not reach a majority and froze its membership transitions.
 func (r *Robustness) AddQuorumStall() { r.quorumStalls.Add(1) }
 
-// AddHedgedPull records one expert pull hedged to a local replica
-// because the owning peer was flagged slow.
-func (r *Robustness) AddHedgedPull() { r.hedgedPulls.Add(1) }
-
-// AddHedgeWon records one hedged pull whose replica answer was used
-// before the slow peer responded.
-func (r *Robustness) AddHedgeWon() { r.hedgesWon.Add(1) }
-
 // AddJoin records one machine admitted into the running cluster.
 func (r *Robustness) AddJoin() { r.joins.Add(1) }
 
@@ -221,10 +208,6 @@ func (r *Robustness) AddPromotion() { r.promotions.Add(1) }
 // AddReplicaServe records one versioned pull served from an in-sync
 // replica at exactly the requested version (not counted stale).
 func (r *Robustness) AddReplicaServe() { r.replicaServes.Add(1) }
-
-// AddInSyncHedge records one hedged pull won by a replica holding the
-// owner's current version (not counted stale).
-func (r *Robustness) AddInSyncHedge() { r.inSyncHedges.Add(1) }
 
 // AddReplRepair records one replica re-streamed by the anti-entropy
 // sweep because its version digest diverged from the owner's.
@@ -252,8 +235,6 @@ func (r *Robustness) Snapshot() RobustnessSnapshot {
 		CheckpointNanos: r.checkpointNanos.Load(),
 		FenceRejections: r.fenceRejections.Load(),
 		QuorumStalls:    r.quorumStalls.Load(),
-		HedgedPulls:     r.hedgedPulls.Load(),
-		HedgesWon:       r.hedgesWon.Load(),
 
 		Joins:              r.joins.Load(),
 		Migrations:         r.migrations.Load(),
@@ -263,7 +244,6 @@ func (r *Robustness) Snapshot() RobustnessSnapshot {
 		ReplFailures:  r.replFailures.Load(),
 		Promotions:    r.promotions.Load(),
 		ReplicaServes: r.replicaServes.Load(),
-		InSyncHedges:  r.inSyncHedges.Load(),
 		ReplRepairs:   r.replRepairs.Load(),
 		ReplRetargets: r.replRetargets.Load(),
 	}
@@ -287,8 +267,6 @@ type RobustnessSnapshot struct {
 
 	FenceRejections int64
 	QuorumStalls    int64
-	HedgedPulls     int64
-	HedgesWon       int64
 
 	Joins              int64
 	Migrations         int64
@@ -298,7 +276,6 @@ type RobustnessSnapshot struct {
 	ReplFailures  int64
 	Promotions    int64
 	ReplicaServes int64
-	InSyncHedges  int64
 	ReplRepairs   int64
 	ReplRetargets int64
 }
@@ -320,8 +297,6 @@ func (s RobustnessSnapshot) Sub(earlier RobustnessSnapshot) RobustnessSnapshot {
 		CheckpointNanos: s.CheckpointNanos - earlier.CheckpointNanos,
 		FenceRejections: s.FenceRejections - earlier.FenceRejections,
 		QuorumStalls:    s.QuorumStalls - earlier.QuorumStalls,
-		HedgedPulls:     s.HedgedPulls - earlier.HedgedPulls,
-		HedgesWon:       s.HedgesWon - earlier.HedgesWon,
 
 		Joins:              s.Joins - earlier.Joins,
 		Migrations:         s.Migrations - earlier.Migrations,
@@ -331,7 +306,6 @@ func (s RobustnessSnapshot) Sub(earlier RobustnessSnapshot) RobustnessSnapshot {
 		ReplFailures:  s.ReplFailures - earlier.ReplFailures,
 		Promotions:    s.Promotions - earlier.Promotions,
 		ReplicaServes: s.ReplicaServes - earlier.ReplicaServes,
-		InSyncHedges:  s.InSyncHedges - earlier.InSyncHedges,
 		ReplRepairs:   s.ReplRepairs - earlier.ReplRepairs,
 		ReplRetargets: s.ReplRetargets - earlier.ReplRetargets,
 	}
@@ -354,8 +328,6 @@ func (s RobustnessSnapshot) Add(o RobustnessSnapshot) RobustnessSnapshot {
 		CheckpointNanos: s.CheckpointNanos + o.CheckpointNanos,
 		FenceRejections: s.FenceRejections + o.FenceRejections,
 		QuorumStalls:    s.QuorumStalls + o.QuorumStalls,
-		HedgedPulls:     s.HedgedPulls + o.HedgedPulls,
-		HedgesWon:       s.HedgesWon + o.HedgesWon,
 
 		Joins:              s.Joins + o.Joins,
 		Migrations:         s.Migrations + o.Migrations,
@@ -365,7 +337,6 @@ func (s RobustnessSnapshot) Add(o RobustnessSnapshot) RobustnessSnapshot {
 		ReplFailures:  s.ReplFailures + o.ReplFailures,
 		Promotions:    s.Promotions + o.Promotions,
 		ReplicaServes: s.ReplicaServes + o.ReplicaServes,
-		InSyncHedges:  s.InSyncHedges + o.InSyncHedges,
 		ReplRepairs:   s.ReplRepairs + o.ReplRepairs,
 		ReplRetargets: s.ReplRetargets + o.ReplRetargets,
 	}
@@ -382,19 +353,17 @@ func (s RobustnessSnapshot) String() string {
 			s.Failovers, s.RehomedExperts, s.Restores, s.Checkpoints,
 			s.CheckpointBytes, float64(s.CheckpointNanos)/1e6)
 	}
-	if s.FenceRejections != 0 || s.QuorumStalls != 0 || s.HedgedPulls != 0 || s.HedgesWon != 0 {
-		base += fmt.Sprintf(" fence-rejections=%d quorum-stalls=%d hedged-pulls=%d hedges-won=%d",
-			s.FenceRejections, s.QuorumStalls, s.HedgedPulls, s.HedgesWon)
+	if s.FenceRejections != 0 || s.QuorumStalls != 0 {
+		base += fmt.Sprintf(" fence-rejections=%d quorum-stalls=%d", s.FenceRejections, s.QuorumStalls)
 	}
 	if s.Joins != 0 || s.Migrations != 0 || s.MigrationRollbacks != 0 {
 		base += fmt.Sprintf(" joins=%d migrations=%d migration-rollbacks=%d",
 			s.Joins, s.Migrations, s.MigrationRollbacks)
 	}
 	if s.ReplPushes != 0 || s.ReplFailures != 0 || s.Promotions != 0 || s.ReplicaServes != 0 ||
-		s.InSyncHedges != 0 || s.ReplRepairs != 0 || s.ReplRetargets != 0 {
-		base += fmt.Sprintf(" repl-pushes=%d repl-failures=%d promotions=%d replica-serves=%d in-sync-hedges=%d repl-repairs=%d repl-retargets=%d",
-			s.ReplPushes, s.ReplFailures, s.Promotions, s.ReplicaServes,
-			s.InSyncHedges, s.ReplRepairs, s.ReplRetargets)
+		s.ReplRepairs != 0 || s.ReplRetargets != 0 {
+		base += fmt.Sprintf(" repl-pushes=%d repl-failures=%d promotions=%d replica-serves=%d repl-repairs=%d repl-retargets=%d",
+			s.ReplPushes, s.ReplFailures, s.Promotions, s.ReplicaServes, s.ReplRepairs, s.ReplRetargets)
 	}
 	return base
 }

@@ -221,9 +221,6 @@ type LiveConfig = livecluster.Config
 // LiveCluster is a running live deployment.
 type LiveCluster = livecluster.Cluster
 
-// LiveResult reports one live iteration.
-type LiveResult = livecluster.Result
-
 // LiveTrainOptions configures the live trainer: step count, microbatch
 // split, and the lockstep-vs-pipelined schedule choice.
 type LiveTrainOptions = livecluster.TrainOptions

@@ -71,11 +71,11 @@ func TestLiveClusterThroughAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := cl.RunDataCentric()
+	res, err := cl.Train(LiveTrainOptions{Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Outputs) != 4 {
-		t.Fatalf("outputs = %d", len(res.Outputs))
+	if len(res.FinalOutputs) != 4 {
+		t.Fatalf("outputs = %d", len(res.FinalOutputs))
 	}
 }
