@@ -60,7 +60,6 @@ func (r Report) String() string {
 
 // FinishTraffic populates the traffic fields from the cluster's links.
 func (r *Report) FinishTraffic(c *topology.Cluster) {
-	c.Net.Sync()
 	r.TrafficByClass = metrics.TrafficByClass(c.Net.Links())
 	r.InterNodeEgressBytes = c.InterNodeEgressBytes()
 	r.PerMachineEgress = make([]float64, len(c.Machines))

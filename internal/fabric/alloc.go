@@ -14,9 +14,10 @@
 //  2. Bottleneck selection order within a component matches the naive
 //     scan. The naive scan picks the first link (in flow-ord × path
 //     order) achieving the minimum share, i.e. the lexicographic
-//     minimum of (share, link index). The share-keyed heap uses exactly
-//     that key, with stale entries skipped via allocVer. Selection
-//     order *across* components never affects any computed value.
+//     minimum of (share, link index). The indexed bottleneck heap uses
+//     exactly that key and re-keys every link a freeze batch touches
+//     before the next pop. Selection order *across* components never
+//     affects any computed value.
 //
 //  3. Accounting is anchored. A flow's remaining bytes and a link's
 //     carried/busy integrals are closed-form between rate changes; the
@@ -29,6 +30,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -54,9 +56,9 @@ func (n *Network) settle() {
 	case ModeHierarchical:
 		scopeF, scopeL = n.settleHier(trig)
 	default:
-		scopeF, scopeL = n.scopeComponent(trig)
-		n.resetFill(scopeF, scopeL)
-		n.fillAdaptive(scopeF, scopeL)
+		var pathSum int
+		scopeF, scopeL, pathSum = n.scopeComponent(trig)
+		n.fillComponent(scopeF, scopeL, pathSum)
 	}
 
 	// Re-anchor exactly the flows whose rate changed bitwise. Using the
@@ -150,15 +152,23 @@ func (n *Network) scopeOracle(trig []*Link) ([]*Flow, []*Link) {
 // scopeComponent closes the connected component of the trigger links:
 // flows are the hyperedges joining links, so a BFS over link→flows→links
 // closes the scope. The returned flows are in activation (ord) order.
-func (n *Network) scopeComponent(trig []*Link) ([]*Flow, []*Link) {
+//
+// The walk also resets the fill state (what resetFill does for the
+// other scopes): a component holds every flow crossing any of its
+// links, so a link's unfrozen count is its whole flow list the moment
+// it is discovered. pathSum is the scope's Σ path lengths, the same
+// count summed over links.
+func (n *Network) scopeComponent(trig []*Link) (scopeF []*Flow, scopeL []*Link, pathSum int) {
 	n.compGen++
 	gen := n.compGen
-	scopeF := n.scopeFlows[:0]
-	scopeL := n.scopeLinks[:0]
+	scopeF = n.scopeFlows[:0]
+	scopeL = n.scopeLinks[:0]
 	queue := n.bfsQueue[:0]
 	for _, l := range trig {
 		if l.compGen != gen {
 			l.compGen = gen
+			l.startFill(len(l.flows))
+			pathSum += len(l.flows)
 			scopeL = append(scopeL, l)
 			queue = append(queue, l)
 		}
@@ -172,10 +182,14 @@ func (n *Network) scopeComponent(trig []*Link) ([]*Flow, []*Link) {
 				continue
 			}
 			f.compGen = gen
+			f.frozen = false
+			f.newRate = 0
 			scopeF = append(scopeF, f)
 			for _, pl := range f.path {
 				if pl.compGen != gen {
 					pl.compGen = gen
+					pl.startFill(len(pl.flows))
+					pathSum += len(pl.flows)
 					scopeL = append(scopeL, pl)
 					queue = append(queue, pl)
 				}
@@ -188,7 +202,7 @@ func (n *Network) scopeComponent(trig []*Link) ([]*Flow, []*Link) {
 		n.compact()
 	}
 	n.scopeFlows = scopeF // keep the (possibly regrown) backing array
-	return scopeF, scopeL
+	return scopeF, scopeL, pathSum
 }
 
 // orderScope puts a discovered scope-flow set into activation order.
@@ -221,18 +235,15 @@ func (n *Network) orderScope(scopeF []*Flow, gen uint64) []*Flow {
 	return scopeF
 }
 
-// resetFill resets link fill state for a new waterfill. Bottleneck
-// ties are broken by the links' creation index — a key that is stable
-// across settles, which is what lets the hierarchical mode replay an
-// external link's freeze in exactly the global tie order (see hier.go).
+// resetFill resets link fill state for a new waterfill, counting each
+// link's unfrozen flows from scopeF (a hierarchical domain scope need
+// not hold every flow of its links). Bottleneck ties are broken by the
+// links' creation index — a key that is stable across settles, which is
+// what lets the hierarchical mode replay an external link's freeze in
+// exactly the global tie order (see hier.go).
 func (n *Network) resetFill(scopeF []*Flow, scopeL []*Link) {
 	for _, l := range scopeL {
-		l.nActive = 0
-		l.residual = l.capacity
-		l.allocVer++
-		l.pushVer = l.allocVer - 1 // not yet pushed this fill
-		l.hierSel = false
-		l.newLevel = math.Inf(1)
+		l.startFill(0)
 	}
 	for _, f := range scopeF {
 		f.frozen = false
@@ -243,24 +254,43 @@ func (n *Network) resetFill(scopeF []*Flow, scopeL []*Link) {
 	}
 }
 
-// fillAdaptive picks the incremental fill implementation. Dense
-// components (flows outnumber links) make the lazy heap churn one entry
-// per (frozen flow, path link); a scoped scan has no such churn and
-// costs O(rounds·links). Sparse, link-heavy components are where the
-// heap's O(log) selection wins. Either choice computes bit-identical
-// rates.
-func (n *Network) fillAdaptive(scopeF []*Flow, scopeL []*Link) {
-	useScan := true
-	switch n.fill {
-	case FillAdaptive:
-		useScan = 3*len(scopeF) >= len(scopeL)
-	case FillHeap:
-		useScan = false
-	}
-	if useScan {
+// startFill gives l full capacity and nActive unfrozen flows for a new
+// waterfill, and clears its per-fill level scratch (see hier.go).
+func (l *Link) startFill(nActive int) {
+	l.nActive = nActive
+	l.residual = l.capacity
+	l.hierSel = false
+	l.newLevel = math.Inf(1)
+}
+
+// scanHeapC weighs the scan's cost bound against the heap's in
+// scanFits. It was fixed once on the two fabric probe shapes: the
+// 32-machine dense All-to-All (72 links, 2 976 path entries at
+// admission) must scan and the 256-machine sparse one fused by 64
+// trunks (576 links, 6 144 path entries) must take the heap, which
+// brackets c in [0.25, 5.4); TestFillSelector pins both sides. Within
+// the bracket, c = 1 kept the dense shape as fast as a forced scan and
+// the sparse one as fast as a forced heap.
+const scanHeapC = 1
+
+// scanFits reports whether fillScan is the cheaper exact fill for a
+// scope of the given size. A scan round costs one pass over the links
+// and a fill has at most one round per link, so links² bounds it; the
+// heap re-keys each path entry of a frozen flow once, at log₂(links)
+// per re-key (bit length as the integer log).
+func scanFits(links, pathSum int) bool {
+	return links*links <= scanHeapC*pathSum*bits.Len(uint(links))
+}
+
+// fillComponent runs the exact fill whose cost bound is smaller for the
+// component: fillScan for dense scopes (flows crowd few links, the
+// All-to-All shape), the indexed heap for wide sparse ones. Both compute
+// bit-identical rates.
+func (n *Network) fillComponent(scopeF []*Flow, scopeL []*Link, pathSum int) {
+	if scanFits(len(scopeL), pathSum) {
 		fillScan(scopeF, scopeL)
 	} else {
-		n.fillIncremental(scopeF)
+		n.fillHeap(scopeF, scopeL)
 	}
 }
 
@@ -358,34 +388,19 @@ func fillScan(scopeF []*Flow, scopeL []*Link) {
 	}
 }
 
-// fillIncremental selects bottlenecks through a (share, link index)-
-// keyed min-heap with lazy invalidation: every time a link's
-// residual/nActive change it gets a fresh entry (allocVer fences the
-// stale ones), so the popped valid minimum is exactly the link the
-// naive rescan would pick.
-// Each link can be a valid bottleneck at most once per fill (its
-// nActive drops to zero), so the fill costs O(flows·pathlen·log links)
-// instead of O(rounds·flows·pathlen).
-func (n *Network) fillIncremental(scopeF []*Flow) {
-	h := n.lheap[:0]
-	for _, f := range scopeF {
-		for _, l := range f.path {
-			if l.pushVer != l.allocVer {
-				h = lheapPush(h, linkEntry{share: l.residual / float64(l.nActive), rank: l.index, ver: l.allocVer, link: l})
-				l.pushVer = l.allocVer
-			}
-		}
-	}
+// fillHeap is fillScan with the bottleneck taken off the indexed
+// (share, index) link heap instead of a rescan. Every link a freeze
+// batch touches is re-keyed before the next pop, so the top is the
+// exact link the scan would pick and the freezes are the same float
+// operations. Each path entry of a frozen flow costs one O(log links)
+// re-key, and each link leaves the heap once its nActive reaches zero.
+func (n *Network) fillHeap(scopeF []*Flow, scopeL []*Link) {
+	n.hheapInit(scopeL)
 	unfrozen := len(scopeF)
-	for unfrozen > 0 && len(h) > 0 {
-		e := h[0]
-		h = lheapPop(h)
-		l := e.link
-		if e.ver != l.allocVer || l.nActive == 0 {
-			continue
-		}
-		share := e.share
-		for _, ref := range l.flows {
+	for unfrozen > 0 && len(n.hheap) > 0 {
+		bottleneck := n.hheap[0]
+		share := bottleneck.hshare
+		for _, ref := range bottleneck.flows {
 			f := ref.f
 			if f.frozen {
 				continue
@@ -402,16 +417,15 @@ func (n *Network) fillIncremental(scopeF []*Flow) {
 				pl.allocVer++
 			}
 		}
-		for _, ref := range l.flows {
+		for _, ref := range bottleneck.flows {
 			for _, pl := range ref.f.path {
-				if pl.nActive > 0 && pl.pushVer != pl.allocVer {
-					h = lheapPush(h, linkEntry{share: pl.residual / float64(pl.nActive), rank: pl.index, ver: pl.allocVer, link: pl})
+				if pl.pushVer != pl.allocVer {
 					pl.pushVer = pl.allocVer
+					n.hheapFix(pl)
 				}
 			}
 		}
 	}
-	n.lheap = h[:0]
 }
 
 // rescheduleCompletion keeps exactly one engine event pending, at the
@@ -514,54 +528,100 @@ func (n *Network) siftDown(i int) bool {
 	return i > start
 }
 
-// --- link min-heap, keyed (share, link index), lazy invalidation ----------
+// --- indexed bottleneck heap, keyed (share, index) ------------------------
+//
+// The one bottleneck heap of both fills that use one (fillHeap and
+// hier.go's hierFill). Every scope link occupies at most one slot
+// (Link.hpos) with its key cached in Link.hshare; a freeze batch re-keys
+// the links it touched in place, so a pop never meets a stale entry.
+// The order — (residual/nActive, index) — matches the naive rescan
+// bit-for-bit.
 
-type linkEntry struct {
-	share float64
-	rank  int
-	ver   uint32
-	link  *Link
-}
-
-func lentryLess(a, b linkEntry) bool {
-	if a.share != b.share {
-		return a.share < b.share
+func hlinkLess(a, b *Link) bool {
+	if a.hshare != b.hshare {
+		return a.hshare < b.hshare
 	}
-	return a.rank < b.rank
+	return a.index < b.index
 }
 
-func lheapPush(h []linkEntry, e linkEntry) []linkEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !lentryLess(h[i], h[parent]) {
-			break
+// hheapInit builds the heap over the scope links that still carry
+// unfrozen flows. O(len(scopeL)).
+func (n *Network) hheapInit(scopeL []*Link) {
+	hh := n.hheap[:0]
+	for _, l := range scopeL {
+		l.pushVer = l.allocVer
+		if l.nActive > 0 {
+			l.hshare = l.residual / float64(l.nActive)
+			l.hpos = int32(len(hh))
+			hh = append(hh, l)
+		} else {
+			l.hpos = -1
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
 	}
-	return h
+	for i := len(hh)/2 - 1; i >= 0; i-- {
+		hheapDown(hh, i)
+	}
+	n.hheap = hh
 }
 
-func lheapPop(h []linkEntry) []linkEntry {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
+func hheapDown(hh []*Link, i int) {
 	for {
 		kid := 2*i + 1
-		if kid >= len(h) {
+		if kid >= len(hh) {
 			break
 		}
-		if r := kid + 1; r < len(h) && lentryLess(h[r], h[kid]) {
+		if r := kid + 1; r < len(hh) && hlinkLess(hh[r], hh[kid]) {
 			kid = r
 		}
-		if !lentryLess(h[kid], h[i]) {
+		if !hlinkLess(hh[kid], hh[i]) {
 			break
 		}
-		h[i], h[kid] = h[kid], h[i]
+		hh[i], hh[kid] = hh[kid], hh[i]
+		hh[i].hpos = int32(i)
+		hh[kid].hpos = int32(kid)
 		i = kid
 	}
-	return h
+}
+
+func hheapUp(hh []*Link, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !hlinkLess(hh[i], hh[parent]) {
+			break
+		}
+		hh[i], hh[parent] = hh[parent], hh[i]
+		hh[i].hpos = int32(i)
+		hh[parent].hpos = int32(parent)
+		i = parent
+	}
+}
+
+// hheapFix re-keys l after a freeze batch changed its residual or
+// nActive, removing it once no unfrozen flows remain. Links never
+// re-enter within a fill: nActive only decreases. No-op for links not
+// currently in the heap.
+func (n *Network) hheapFix(l *Link) {
+	i := int(l.hpos)
+	if i < 0 {
+		return
+	}
+	hh := n.hheap
+	if l.nActive == 0 {
+		last := len(hh) - 1
+		l.hpos = -1
+		if i != last {
+			hh[i] = hh[last]
+			hh[i].hpos = int32(i)
+		}
+		hh[last] = nil
+		n.hheap = hh[:last]
+		if i != last {
+			hheapDown(n.hheap, i)
+			hheapUp(n.hheap, i)
+		}
+		return
+	}
+	l.hshare = l.residual / float64(l.nActive)
+	hheapDown(hh, i)
+	hheapUp(hh, i)
 }

@@ -21,15 +21,15 @@ func allocsRetry(runs int, fn func()) float64 {
 	return n
 }
 
-// gateNet builds a small fat-tree under the given mode, admits one
-// sparse All-to-All of effectively infinite flows, and steps the
-// engine until every flow is active and the initial settle has run.
-// The returned trigger is one flow's path — the exact trigger shape a
-// completion settle sees.
-func gateNet(t *testing.T, mode AllocMode) (*benchTopo, []*Link) {
+// gateNet builds a fat-tree under the given mode, admits one sparse
+// All-to-All (fanout peers per machine) of effectively infinite flows,
+// and steps the engine until every flow is active and the initial
+// settle has run. The returned trigger is one flow's path — the exact
+// trigger shape a completion settle sees.
+func gateNet(t *testing.T, mode AllocMode, machines, trunks, fanout int) (*benchTopo, []*Link) {
 	t.Helper()
-	topo := newBenchTopo(8, 4, mode)
-	specs := topo.sparseA2ASpecs(0, 4, 1e18)
+	topo := newBenchTopo(machines, trunks, mode)
+	specs := topo.sparseA2ASpecs(0, fanout, 1e18)
 	flows := topo.net.StartFlows(specs)
 	for topo.net.nActive < len(flows) || topo.net.settlePending {
 		if !topo.eng.Step() {
@@ -60,16 +60,23 @@ func TestSettleSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race runtime")
 	}
+	// The incremental mode is gated on both sides of the fill selector:
+	// 8 machines is dense enough to scan, 64 machines sparse enough that
+	// the component takes the heap (checked below, so the gate cannot
+	// drift onto one branch).
 	modes := []struct {
-		name string
-		mode AllocMode
+		name                     string
+		mode                     AllocMode
+		machines, trunks, fanout int
+		wantScan                 bool
 	}{
-		{"incremental", ModeIncremental},
-		{"hierarchical", ModeHierarchical},
+		{"incremental", ModeIncremental, 8, 4, 4, true},
+		{"incremental-heap", ModeIncremental, 64, 16, 2, false},
+		{"hierarchical", ModeHierarchical, 8, 4, 4, false},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			topo, trig := gateNet(t, m.mode)
+			topo, trig := gateNet(t, m.mode, m.machines, m.trunks, m.fanout)
 			net := topo.net
 			settleOnce := func() {
 				var scopeF []*Flow
@@ -77,9 +84,12 @@ func TestSettleSteadyStateZeroAlloc(t *testing.T) {
 				if m.mode == ModeHierarchical {
 					scopeF, scopeL = net.settleHier(trig)
 				} else {
-					scopeF, scopeL = net.scopeComponent(trig)
-					net.resetFill(scopeF, scopeL)
-					net.fillAdaptive(scopeF, scopeL)
+					var pathSum int
+					scopeF, scopeL, pathSum = net.scopeComponent(trig)
+					if scanFits(len(scopeL), pathSum) != m.wantScan {
+						t.Fatalf("%d links, Σ path %d: scanFits = %v, want %v", len(scopeL), pathSum, !m.wantScan, m.wantScan)
+					}
+					net.fillComponent(scopeF, scopeL, pathSum)
 				}
 				net.scopeFlows = scopeF[:0]
 				net.scopeLinks = scopeL[:0]

@@ -49,7 +49,8 @@ type AllocMode int
 const (
 	// ModeIncremental recomputes only the connected component of
 	// links/flows perturbed by the arrivals/completions being settled,
-	// selecting bottlenecks through a share-keyed heap. Default.
+	// selecting bottlenecks by a scan or an indexed heap, whichever the
+	// component's size makes cheaper. Default.
 	ModeIncremental AllocMode = iota
 	// ModeOracle recomputes every active flow by naive progressive
 	// filling with full rescans, exactly as the original implementation.
@@ -91,8 +92,9 @@ type Link struct {
 	sumGoodput float64
 
 	// settle scratch (see alloc.go). hpos/hshare are the link's slot and
-	// cached key in the hierarchical fill's indexed bottleneck heap
-	// (hier.go); hpos is -1 while the link is not in the heap.
+	// cached key in the indexed bottleneck heap; hpos is -1 while the
+	// link is not in the heap. allocVer counts the link's changes in a
+	// fill and pushVer is the count its heap key reflects.
 	nActive  int
 	residual float64
 	compGen  uint64
@@ -289,7 +291,6 @@ type Network struct {
 	eng   *sim.Engine
 	links []*Link
 	mode  AllocMode
-	fill  FillStrategy
 
 	// active holds activated, unfinished flows in ord order. Completed
 	// flows are compacted out lazily (the incremental allocator never
@@ -316,7 +317,7 @@ type Network struct {
 	scopeFlows []*Flow
 	scopeLinks []*Link
 	bfsQueue   []*Link
-	lheap      []linkEntry
+	hheap      []*Link
 
 	// hierarchical-mode state (see hier.go): a monotone union-find over
 	// link indices partitioning non-trunk links into edge domains (with
@@ -337,7 +338,6 @@ type Network struct {
 	growLinks     []*Link
 	growTrunks    []*Link
 	hierMut       []linkMut
-	hheap         []*Link
 	hierMemoMap   map[uint64][]int32
 	hierRestarts  uint64
 	hierFallbacks uint64
@@ -369,28 +369,6 @@ func (n *Network) SetAllocMode(m AllocMode) { n.mode = m }
 
 // AllocModeSelected returns the allocator implementation in use.
 func (n *Network) AllocModeSelected() AllocMode { return n.mode }
-
-// FillStrategy selects how the incremental allocator picks bottleneck
-// links within a settle. Every strategy computes bit-identical rates
-// (the bottleneck is always the lexicographic (share, scanRank)
-// minimum); they differ only in cost shape.
-type FillStrategy int
-
-const (
-	// FillAdaptive (default) scans dense components — where flows
-	// outnumber links and the heap would churn an entry per (flow,
-	// path-link) freeze — and uses the heap for sparse, link-heavy ones.
-	FillAdaptive FillStrategy = iota
-	// FillScan always rescans the component's links per fill round.
-	FillScan
-	// FillHeap always uses the (share, link index)-keyed lazy min-heap.
-	FillHeap
-)
-
-// SetFillStrategy overrides the incremental fill's bottleneck-selection
-// strategy (differential tests pin each variant; production code keeps
-// the adaptive default).
-func (n *Network) SetFillStrategy(s FillStrategy) { n.fill = s }
 
 // NewLink creates a directed link. class is a free-form label ("nvlink",
 // "nic", "pcie", ...) used by traffic accounting.
@@ -630,8 +608,3 @@ func (n *Network) finish(f *Flow) {
 		n.OnFlowDone(f)
 	}
 }
-
-// Sync is a no-op kept for API compatibility: accounting is anchor-based
-// and CarriedBytes/BusySeconds/Remaining integrate on demand, so there
-// is nothing to flush.
-func (n *Network) Sync() {}

@@ -200,7 +200,6 @@ func TestConservationProperty(t *testing.T) {
 			eng.At(at, func() { net.StartFlow("f", size, path, nil) })
 		}
 		eng.Run()
-		net.Sync()
 		for i, l := range links {
 			if !almostEqual(l.CarriedBytes(), perLink[i], 1e-3*(1+perLink[i])) {
 				return false
@@ -239,7 +238,6 @@ func TestCapacityRespectedProperty(t *testing.T) {
 			eng.At(at, func() { net.StartFlow("f", size, path, nil) })
 		}
 		eng.Run()
-		net.Sync()
 		elapsed := eng.Now()
 		for _, l := range links {
 			if l.BusySeconds() > elapsed+1e-9 {
@@ -408,7 +406,6 @@ func TestFlowEfficiencySemantics(t *testing.T) {
 	if !almostEqual(doneAt, 2, 1e-9) {
 		t.Fatalf("done at %v, want 2 (100 bytes at 50 B/s)", doneAt)
 	}
-	net.Sync()
 	// Carried bytes account goodput; busy time accounts the reservation.
 	if !almostEqual(l.CarriedBytes(), 100, 1e-6) {
 		t.Fatalf("carried %v, want 100", l.CarriedBytes())

@@ -227,11 +227,10 @@ func (n *Network) settleHier(trig []*Link) ([]*Flow, []*Link) {
 	// fill is fillScan arithmetic verbatim.
 	n.hierFallbacks++
 	n.domList = doms[:0]
-	scopeF, scopeL := n.scopeComponent(trig)
+	scopeF, scopeL, _ := n.scopeComponent(trig)
 	for _, f := range scopeF {
 		f.hierBoundary = false
 	}
-	n.resetFill(scopeF, scopeL)
 	n.hierFill(scopeF, scopeL, n.compGen)
 	n.commitLevels(scopeL)
 	return scopeF, scopeL
@@ -863,101 +862,4 @@ func (n *Network) profUpdate(f *Flow) {
 		l.profIns(f.newRate, f)
 	}
 	f.profOn = true
-}
-
-// --- indexed in-scope bottleneck heap, keyed (share, index) ---------------
-//
-// Unlike the incremental fill's lazily-invalidated heap, every in-scope
-// link occupies at most one slot (Link.hpos) with its key cached in
-// Link.hshare; a freeze batch re-keys touched links in place, so the
-// event loop never pops stale entries. The order — (residual/nActive,
-// index) — matches the naive rescan and the lazy heap bit-for-bit.
-
-func hlinkLess(a, b *Link) bool {
-	if a.hshare != b.hshare {
-		return a.hshare < b.hshare
-	}
-	return a.index < b.index
-}
-
-// hheapInit builds the heap over the scope links that still carry
-// unfrozen flows. O(len(scopeL)).
-func (n *Network) hheapInit(scopeL []*Link) {
-	hh := n.hheap[:0]
-	for _, l := range scopeL {
-		l.pushVer = l.allocVer
-		if l.nActive > 0 {
-			l.hshare = l.residual / float64(l.nActive)
-			l.hpos = int32(len(hh))
-			hh = append(hh, l)
-		} else {
-			l.hpos = -1
-		}
-	}
-	for i := len(hh)/2 - 1; i >= 0; i-- {
-		hheapDown(hh, i)
-	}
-	n.hheap = hh
-}
-
-func hheapDown(hh []*Link, i int) {
-	for {
-		kid := 2*i + 1
-		if kid >= len(hh) {
-			break
-		}
-		if r := kid + 1; r < len(hh) && hlinkLess(hh[r], hh[kid]) {
-			kid = r
-		}
-		if !hlinkLess(hh[kid], hh[i]) {
-			break
-		}
-		hh[i], hh[kid] = hh[kid], hh[i]
-		hh[i].hpos = int32(i)
-		hh[kid].hpos = int32(kid)
-		i = kid
-	}
-}
-
-func hheapUp(hh []*Link, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !hlinkLess(hh[i], hh[parent]) {
-			break
-		}
-		hh[i], hh[parent] = hh[parent], hh[i]
-		hh[i].hpos = int32(i)
-		hh[parent].hpos = int32(parent)
-		i = parent
-	}
-}
-
-// hheapFix re-keys l after a freeze batch changed its residual or
-// nActive, removing it once no unfrozen flows remain. Links never
-// re-enter within a fill: nActive only decreases. No-op for links not
-// currently in the heap.
-func (n *Network) hheapFix(l *Link) {
-	i := int(l.hpos)
-	if i < 0 {
-		return
-	}
-	hh := n.hheap
-	if l.nActive == 0 {
-		last := len(hh) - 1
-		l.hpos = -1
-		if i != last {
-			hh[i] = hh[last]
-			hh[i].hpos = int32(i)
-		}
-		hh[last] = nil
-		n.hheap = hh[:last]
-		if i != last {
-			hheapDown(n.hheap, i)
-			hheapUp(n.hheap, i)
-		}
-		return
-	}
-	l.hshare = l.residual / float64(l.nActive)
-	hheapDown(hh, i)
-	hheapUp(hh, i)
 }

@@ -377,7 +377,6 @@ func (c *Cluster) InterNodeLinks() []*fabric.Link {
 // InterNodeEgressBytes returns total bytes sent out of all machines'
 // NICs (one direction only, so a transfer is not double-counted).
 func (c *Cluster) InterNodeEgressBytes() float64 {
-	c.Net.Sync()
 	var sum float64
 	for _, m := range c.Machines {
 		for _, sw := range m.Switches {
@@ -389,7 +388,6 @@ func (c *Cluster) InterNodeEgressBytes() float64 {
 
 // MachineEgressBytes returns bytes sent out of one machine's NICs.
 func (c *Cluster) MachineEgressBytes(mi int) float64 {
-	c.Net.Sync()
 	var sum float64
 	for _, sw := range c.Machines[mi].Switches {
 		sum += sw.NICOut.CarriedBytes()
