@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -808,25 +807,24 @@ func encodeMatrix(m *tensor.Matrix) []byte {
 	buf := make([]byte, 8+4*len(m.Data))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(m.Rows))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(m.Cols))
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint32(buf[8+4*i:], math.Float32bits(v))
-	}
+	transport.PutFloat32s(buf[8:], m.Data)
 	return buf
 }
 
-// decodeMatrix reverses encodeMatrix.
+// decodeMatrix reverses encodeMatrix. rows is bounded by the payload's
+// float count over cols before the two are multiplied, so a crafted
+// shape cannot wrap the size check.
 func decodeMatrix(buf []byte) (*tensor.Matrix, error) {
 	if len(buf) < 8 {
 		return nil, fmt.Errorf("livecluster: matrix payload too short")
 	}
 	rows := int(binary.LittleEndian.Uint32(buf[0:4]))
 	cols := int(binary.LittleEndian.Uint32(buf[4:8]))
-	if rows <= 0 || cols <= 0 || len(buf) != 8+4*rows*cols {
+	body := len(buf) - 8
+	if rows <= 0 || cols <= 0 || body%4 != 0 || rows > body/4/cols || rows*cols != body/4 {
 		return nil, fmt.Errorf("livecluster: bad matrix payload (%dx%d, %d bytes)", rows, cols, len(buf))
 	}
 	m := tensor.New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[8+4*i:]))
-	}
+	transport.Float32s(m.Data, buf[8:])
 	return m, nil
 }

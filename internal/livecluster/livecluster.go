@@ -19,7 +19,6 @@ package livecluster
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -482,15 +481,8 @@ func encodeExpertInto(buf []byte, e *moe.Expert) []byte {
 	buf = buf[:need]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(e.W1.Rows))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(e.W1.Cols))
-	off := 8
-	for _, v := range e.W1.Data {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-		off += 4
-	}
-	for _, v := range e.W2.Data {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-		off += 4
-	}
+	transport.PutFloat32s(buf[8:], e.W1.Data)
+	transport.PutFloat32s(buf[8+4*n1:], e.W2.Data)
 	return buf
 }
 
@@ -520,15 +512,8 @@ func decodeExpertInto(dst *moe.Expert, buf []byte) (*moe.Expert, error) {
 	if e == nil || e.W1.Rows != rows || e.W1.Cols != cols {
 		e = &moe.Expert{W1: tensor.New(rows, cols), W2: tensor.New(cols, rows)}
 	}
-	off := 8
-	for i := range e.W1.Data {
-		e.W1.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-	}
-	for i := range e.W2.Data {
-		e.W2.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-	}
+	transport.Float32s(e.W1.Data, buf[8:])
+	transport.Float32s(e.W2.Data, buf[8+4*n1:])
 	return e, nil
 }
 

@@ -719,13 +719,9 @@ func (r *stepRun) doPush(pidx int, scratch *[]byte) {
 	cl := rt.cl
 	e := int(rt.pushExperts[pidx])
 	base, cnt := rt.slotBase[pidx], rt.slotCount[pidx]
-	acc := moe.GetExpertGrad(cl.cfg.Hidden)
-	for i := base; i < base+cnt; i++ {
-		if g := r.parts[i]; g != nil { // nil slots: pieces that errored out
-			acc.Accumulate(g)
-			moe.PutExpertGrad(g)
-			r.parts[i] = nil
-		}
+	acc := foldGrads(r.parts[base : base+cnt]) // nil slots: pieces that errored out
+	if acc == nil {
+		acc = moe.GetExpertGrad(cl.cfg.Hidden)
 	}
 	id := transport.ExpertID{Expert: uint32(e)}
 	step := uint64(r.s)

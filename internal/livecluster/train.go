@@ -18,15 +18,15 @@
 // steady-state merge path allocates nothing. Wire gradients decode into
 // pooled ExpertGrads, contributions collect in reusable dense
 // pendingMerge slots (indexed by the shared expect table), the merge
-// accumulator is pooled, and the published encodings live in a
-// per-store refcounted buffer freelist (see livecluster.go).
+// accumulator is the first present contribution itself rather than a
+// fresh zeroed gradient (see foldGrads), and the published encodings
+// live in a per-store refcounted buffer freelist (see livecluster.go).
 package livecluster
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -56,15 +56,8 @@ func encodeTrainGradInto(buf []byte, step uint64, source int, g *moe.ExpertGrad)
 	binary.BigEndian.PutUint32(buf[0:4], trainGradMagic)
 	binary.BigEndian.PutUint64(buf[4:12], step)
 	binary.BigEndian.PutUint32(buf[12:16], uint32(source))
-	off := trainGradHeaderBytes
-	for _, v := range g.DW1.Data {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-		off += 4
-	}
-	for _, v := range g.DW2.Data {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-		off += 4
-	}
+	transport.PutFloat32s(buf[trainGradHeaderBytes:], g.DW1.Data)
+	transport.PutFloat32s(buf[trainGradHeaderBytes+4*n1:], g.DW2.Data)
 	return buf
 }
 
@@ -92,15 +85,8 @@ func parseTrainGradHeader(payload []byte, h int) (step uint64, source int, err e
 // payload of a validated training gradient. Every element is
 // overwritten, so g may come from GetExpertGradUninit.
 func decodeTrainGradInto(g *moe.ExpertGrad, payload []byte) {
-	off := trainGradHeaderBytes
-	for i := range g.DW1.Data {
-		g.DW1.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
-	for i := range g.DW2.Data {
-		g.DW2.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
+	transport.Float32s(g.DW1.Data, payload[trainGradHeaderBytes:])
+	transport.Float32s(g.DW2.Data, payload[trainGradHeaderBytes+4*len(g.DW1.Data):])
 }
 
 // decodeTrainGrad parses a training gradient payload for hidden size h,
@@ -115,6 +101,31 @@ func decodeTrainGrad(payload []byte, h int) (step uint64, source int, g *moe.Exp
 	g = moe.NewExpertGrad(h)
 	decodeTrainGradInto(g, payload)
 	return step, source, g, nil
+}
+
+// foldGrads sums the non-nil gradients of parts in slice order, clearing
+// every slot, and returns the sum (nil when every slot is nil). The
+// first present contribution is the accumulator; the rest are added
+// into it and recycled. That is bitwise what adding every contribution
+// into a fresh zeroed gradient gives, one pass cheaper: an honest
+// gradient is arithmetic started from +0 (MatMulTransAInto onto a
+// zeroed matrix, or a fold of such sums), so it never holds −0 or a
+// signalling NaN, and +0 + g == g bit for bit.
+func foldGrads(parts []*moe.ExpertGrad) *moe.ExpertGrad {
+	var acc *moe.ExpertGrad
+	for i, g := range parts {
+		if g == nil {
+			continue
+		}
+		parts[i] = nil
+		if acc == nil {
+			acc = g
+			continue
+		}
+		acc.Accumulate(g)
+		moe.PutExpertGrad(g)
+	}
+	return acc
 }
 
 // pendingMerge collects the contributions for one (expert, step) merge
@@ -401,14 +412,7 @@ func (s *machineStore) advanceLocked(id transport.ExpertID) {
 func (s *machineStore) applyMergeLocked(id transport.ExpertID, pm *pendingMerge, countTriggered bool) {
 	next := s.ver[id] + 1
 	if pm != nil && pm.n > 0 {
-		acc := moe.GetExpertGrad(s.h)
-		for i, g := range pm.got {
-			if g != nil {
-				acc.Accumulate(g)
-				moe.PutExpertGrad(g)
-				pm.got[i] = nil
-			}
-		}
+		acc := foldGrads(pm.got)
 		s.experts[id].ApplySGD(acc, s.lr)
 		moe.PutExpertGrad(acc)
 		s.invalidateEncLocked(id)

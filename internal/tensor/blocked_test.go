@@ -1,15 +1,65 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestBlockedKernelsBitIdentical property-tests the cache-blocked
-// kernels directly (bypassing shape selection, so small shapes exercise
-// partial tiles and odd remainders too) against the retained serial
-// references. Bit equality, not tolerance: blocking must not reorder a
-// single addition.
+// randomSpecial draws a matrix of the values that break a kernel which
+// reorders, fuses or skips differently from the serial reference: −0,
+// ±Inf, subnormals, ±3e38 (whose products overflow to Inf), NaN, and
+// runs of zeros long enough to straddle a fold group of four.
+func randomSpecial(rng *rand.Rand, rows, cols int) *Matrix {
+	specials := []float32{
+		float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), // subnormals
+		3e38, -3e38,
+		float32(math.NaN()),
+	}
+	m := New(rows, cols)
+	for i := 0; i < len(m.Data); i++ {
+		switch r := rng.Intn(16); {
+		case r == 0: // a zero run of 2–6
+			for z := 2 + rng.Intn(5); z > 0 && i < len(m.Data); z-- {
+				m.Data[i] = 0
+				i++
+			}
+			i--
+		case r == 1:
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		default:
+			m.Data[i] = float32((rng.Float64()*2 - 1) * float64(uint(1)<<uint(rng.Intn(8))))
+		}
+	}
+	return m
+}
+
+// sameBits reports whether got and want have the same shape and the
+// same bits element by element, except that any NaN matches any NaN:
+// which NaN operand's payload survives an add is the compiler's choice
+// of operand order on x86, not part of the kernels' contract.
+func sameBits(got, want *Matrix) bool {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return false
+	}
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBlockedKernelsBitIdentical property-tests the matmul kernels
+// directly (bypassing the fan-out, so small shapes exercise partial
+// tiles, partial fold groups and odd remainders too) against the
+// retained serial references. Bit equality, not tolerance: tiling and
+// folding must not reorder, fuse or skip a single term. Each shape runs
+// twice — once on mixed-magnitude data with zeros, once on special
+// values.
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1},
@@ -18,6 +68,7 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 		{9, blockK + 1, blockJ + 1},
 		{17, 2*blockK + 13, 2*blockJ + 7},
 		{33, 200, 97},
+		{4, 137, 290},
 	}
 	for seed := 0; seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
@@ -26,38 +77,52 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 		c := 1 + rng.Intn(300)
 		shapes = append(shapes, [3]int{r, k, c})
 	}
+	gens := []struct {
+		name string
+		draw func(*rand.Rand, int, int) *Matrix
+	}{{"sparse", randomSparse}, {"special", randomSpecial}}
 	for _, sh := range shapes {
-		r, k, c := sh[0], sh[1], sh[2]
-		rng := rand.New(rand.NewSource(int64(r*1000003 + k*1009 + c)))
+		for _, gen := range gens {
+			r, k, c := sh[0], sh[1], sh[2]
+			rng := rand.New(rand.NewSource(int64(r*1000003 + k*1009 + c)))
 
-		a := randomSparse(rng, r, k)
-		b := randomSparse(rng, k, c)
-		got := New(r, c)
-		matMulRowsBlocked(a, b, got, 0, r)
-		if want := matMulSerial(a, b); !Equal(got, want) {
-			t.Fatalf("blocked MatMul %dx%d·%dx%d diverges from serial (maxdiff %v)",
-				r, k, k, c, MaxAbsDiff(got, want))
-		}
+			a := gen.draw(rng, r, k)
+			b := gen.draw(rng, k, c)
+			got := New(r, c)
+			matMulRowsBlocked(a, b, got, 0, r)
+			if want := matMulSerial(a, b); !sameBits(got, want) {
+				t.Fatalf("%s: MatMul %dx%d·%dx%d diverges from serial (maxdiff %v)",
+					gen.name, r, k, k, c, MaxAbsDiff(got, want))
+			}
 
-		at := randomSparse(rng, k, r)
-		gotA := New(r, c)
-		matMulTransARowsBlocked(at, b, gotA, 0, r)
-		if want := matMulTransASerial(at, b); !Equal(gotA, want) {
-			t.Fatalf("blocked MatMulTransA %dx%dᵀ·%dx%d diverges from serial (maxdiff %v)",
-				k, r, k, c, MaxAbsDiff(gotA, want))
-		}
+			at := gen.draw(rng, k, r)
+			gotA := New(r, c)
+			matMulTransARowsBlocked(at, b, gotA, 0, r)
+			if want := matMulTransASerial(at, b); !sameBits(gotA, want) {
+				t.Fatalf("%s: MatMulTransA %dx%dᵀ·%dx%d diverges from serial (maxdiff %v)",
+					gen.name, k, r, k, c, MaxAbsDiff(gotA, want))
+			}
+			// A weight gradient folds from +0, so it never holds −0:
+			// the live trainer's gradient folds start from the first
+			// contribution on that invariant (+0 + g == g bitwise).
+			for i, v := range gotA.Data {
+				if math.Float32bits(v) == 0x80000000 {
+					t.Fatalf("%s: MatMulTransA onto zeros yields −0 at %d", gen.name, i)
+				}
+			}
 
-		bt := randomSparse(rng, c, k)
-		gotB := New(r, c)
-		// Poison the output: the TransB contract is full overwrite, so
-		// the blocked kernel must not fold leftovers into tile 0.
-		for i := range gotB.Data {
-			gotB.Data[i] = 1e30
-		}
-		matMulTransBRowsBlocked(a, bt, gotB, 0, r)
-		if want := matMulTransBSerial(a, bt); !Equal(gotB, want) {
-			t.Fatalf("blocked MatMulTransB %dx%d·%dx%dᵀ diverges from serial (maxdiff %v)",
-				r, k, c, k, MaxAbsDiff(gotB, want))
+			bt := gen.draw(rng, c, k)
+			gotB := New(r, c)
+			// Poison the output: the TransB contract is full overwrite, so
+			// the kernel must not fold leftovers into tile 0.
+			for i := range gotB.Data {
+				gotB.Data[i] = 1e30
+			}
+			matMulTransBRowsBlocked(a, bt, gotB, 0, r)
+			if want := matMulTransBSerial(a, bt); !sameBits(gotB, want) {
+				t.Fatalf("%s: MatMulTransB %dx%d·%dx%dᵀ diverges from serial (maxdiff %v)",
+					gen.name, r, k, c, k, MaxAbsDiff(gotB, want))
+			}
 		}
 	}
 }
@@ -81,34 +146,30 @@ func TestBlockedKernelsRowRange(t *testing.T) {
 }
 
 // TestBlockedSelectionBitIdentical drives the public Into entry points
-// at a shape large enough to select the blocked kernels and pins the
-// result to the serial references — the selection itself must be
-// invisible in the bits.
+// at a shape of several k- and j-tiles that also fans out across the
+// worker pool, and pins the result to the serial references.
 func TestBlockedSelectionBitIdentical(t *testing.T) {
-	r, k, c := 40, blockedMinK*2, blockedMinFoot/blockedMinK+8
-	if !useBlocked(k, k*c) {
-		t.Fatalf("shape %dx%dx%d should select the blocked kernel", r, k, c)
-	}
+	r, k, c := 40, 4*blockK, blockJ+8
 	rng := rand.New(rand.NewSource(11))
 	a := randomSparse(rng, r, k)
 	b := randomSparse(rng, k, c)
 	out := New(r, c)
 	MatMulInto(a, b, out)
 	if want := matMulSerial(a, b); !Equal(out, want) {
-		t.Fatalf("MatMulInto blocked selection diverges from serial (maxdiff %v)", MaxAbsDiff(out, want))
+		t.Fatalf("MatMulInto diverges from serial (maxdiff %v)", MaxAbsDiff(out, want))
 	}
 
 	at := randomSparse(rng, k, r)
 	outA := New(r, c)
 	MatMulTransAInto(at, b, outA)
 	if want := matMulTransASerial(at, b); !Equal(outA, want) {
-		t.Fatalf("MatMulTransAInto blocked selection diverges from serial (maxdiff %v)", MaxAbsDiff(outA, want))
+		t.Fatalf("MatMulTransAInto diverges from serial (maxdiff %v)", MaxAbsDiff(outA, want))
 	}
 
 	bt := randomSparse(rng, c, k)
 	outB := New(r, c)
 	MatMulTransBInto(a, bt, outB)
 	if want := matMulTransBSerial(a, bt); !Equal(outB, want) {
-		t.Fatalf("MatMulTransBInto blocked selection diverges from serial (maxdiff %v)", MaxAbsDiff(outB, want))
+		t.Fatalf("MatMulTransBInto diverges from serial (maxdiff %v)", MaxAbsDiff(outB, want))
 	}
 }

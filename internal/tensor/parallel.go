@@ -1,9 +1,9 @@
-// Row-partitioned parallel kernels and scratch-buffer pooling.
+// Row-partitioned dispatch of the matmul kernels, and scratch-buffer pooling.
 //
 // Determinism argument: every kernel partitions work by *output row*,
 // and each output row is written by exactly one worker running the
-// identical per-row loop as the serial reference — the summation order
-// within every output element is unchanged. Float addition is
+// kernel over its rows — the summation order within every output
+// element is the serial reference's. Float addition is
 // non-associative, so this is the one partitioning that is safe: the
 // result is bit-identical to the serial kernel for any worker count,
 // which parallel_test.go property-tests against the retained serial
@@ -93,65 +93,6 @@ func fanOutRows(a, b, out *Matrix, rows, chunks int, kernel rowKernel) {
 	kernel(a, b, out, lo, rows)
 	done.Wait()
 	fanOutDone.Put(done)
-}
-
-// --- kernels -------------------------------------------------------------
-
-// matMulRows computes rows [lo, hi) of out = a·b, identically to the
-// serial reference restricted to those rows.
-func matMulRows(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// matMulTransARows computes output rows [lo, hi) of out = aᵀ·b. The
-// serial reference iterates k outermost, so each out[i][j] accumulates
-// its k-terms in ascending-k order; iterating k per output row keeps
-// exactly that per-element order (including the a[k][i]==0 skips).
-func matMulTransARows(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := out.Row(i)
-		for k := 0; k < a.Rows; k++ {
-			av := a.Data[k*a.Cols+i]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// matMulTransBRows computes rows [lo, hi) of out = a·bᵀ: one
-// sequential-accumulator dot product per output element, identical to
-// the serial reference.
-func matMulTransBRows(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var sum float32
-			for k := range arow {
-				sum += arow[k] * brow[k]
-			}
-			orow[j] = sum
-		}
-	}
 }
 
 // --- scratch pooling ------------------------------------------------------

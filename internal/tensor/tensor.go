@@ -6,10 +6,12 @@
 //
 // Correctness, determinism and zero dependencies come first. The
 // summation order of every reduction is fixed, so results are exactly
-// reproducible: the matmul kernels fan output rows across a bounded
-// worker pool (see parallel.go), which leaves every per-element
-// summation order untouched and therefore stays bit-identical to the
-// retained serial reference kernels — property-tested, not assumed.
+// reproducible: each product has one tiled kernel (see blocked.go)
+// that folds its terms in the serial order with every product rounded
+// on its own, and the kernels fan output rows across a bounded worker
+// pool (see parallel.go). Neither touches a per-element summation
+// order, so results stay bit-identical to the retained serial
+// reference kernels — property-tested, not assumed.
 package tensor
 
 import (
@@ -83,8 +85,10 @@ func (m *Matrix) AddInPlace(other *Matrix) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic("tensor: AddInPlace shape mismatch")
 	}
-	for i := range m.Data {
-		m.Data[i] += other.Data[i]
+	d := m.Data
+	o := other.Data[:len(d)] // one bounds check, hoisted out of the loop
+	for i := range d {
+		d[i] += o[i]
 	}
 }
 
@@ -130,11 +134,7 @@ func MatMulInto(a, b, out *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
 	}
-	if useBlocked(a.Cols, a.Cols*b.Cols) {
-		parallelMatRows(a, b, out, a.Rows, matMulRowsBlocked)
-		return
-	}
-	parallelMatRows(a, b, out, a.Rows, matMulRows)
+	parallelMatRows(a, b, out, a.Rows, matMulRowsBlocked)
 }
 
 // matMulSerial is the pre-parallelization reference kernel, retained
@@ -154,7 +154,7 @@ func matMulSerial(a, b *Matrix) *Matrix {
 			}
 			brow := b.Row(k)
 			for j := range orow {
-				orow[j] += av * brow[j]
+				orow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -178,11 +178,7 @@ func MatMulTransAInto(a, b, out *Matrix) {
 	if out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
-	if useBlocked(a.Rows, a.Rows*b.Cols) {
-		parallelMatRows(a, b, out, a.Cols, matMulTransARowsBlocked)
-		return
-	}
-	parallelMatRows(a, b, out, a.Cols, matMulTransARows)
+	parallelMatRows(a, b, out, a.Cols, matMulTransARowsBlocked)
 }
 
 // matMulTransASerial is the pre-parallelization reference kernel,
@@ -201,7 +197,7 @@ func matMulTransASerial(a, b *Matrix) *Matrix {
 			}
 			orow := out.Row(i)
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -225,11 +221,7 @@ func MatMulTransBInto(a, b, out *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
 	}
-	if useBlocked(a.Cols, b.Rows*b.Cols) {
-		parallelMatRows(a, b, out, a.Rows, matMulTransBRowsBlocked)
-		return
-	}
-	parallelMatRows(a, b, out, a.Rows, matMulTransBRows)
+	parallelMatRows(a, b, out, a.Rows, matMulTransBRowsBlocked)
 }
 
 // matMulTransBSerial is the pre-parallelization reference kernel,
@@ -246,7 +238,7 @@ func matMulTransBSerial(a, b *Matrix) *Matrix {
 			brow := b.Row(j)
 			var sum float32
 			for k := range arow {
-				sum += arow[k] * brow[k]
+				sum += float32(arow[k] * brow[k])
 			}
 			orow[j] = sum
 		}

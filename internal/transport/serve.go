@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -78,9 +77,7 @@ func EncodeServe(budgetMicros uint64, rows, cols int, data []float32) ([]byte, e
 	binary.BigEndian.PutUint64(buf[0:8], budgetMicros)
 	binary.BigEndian.PutUint32(buf[8:12], uint32(rows))
 	binary.BigEndian.PutUint32(buf[12:16], uint32(cols))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[serveHeaderBytes+4*i:], math.Float32bits(v))
-	}
+	PutFloat32s(buf[serveHeaderBytes:], data)
 	return buf, nil
 }
 
@@ -107,9 +104,7 @@ func DecodeServe(raw []byte) (budgetMicros uint64, rows, cols int, data []float3
 			len(raw)-serveHeaderBytes, n)
 	}
 	data = make([]float32, int(r)*int(c))
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[serveHeaderBytes+4*i:]))
-	}
+	Float32s(data, raw[serveHeaderBytes:])
 	return budgetMicros, int(r), int(c), data, nil
 }
 
@@ -124,9 +119,7 @@ func EncodeServeOut(provenance byte, data []float32) ([]byte, error) {
 	}
 	buf := make([]byte, serveOutHeaderBytes+4*len(data))
 	buf[0] = provenance
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[serveOutHeaderBytes+4*i:], math.Float32bits(v))
-	}
+	PutFloat32s(buf[serveOutHeaderBytes:], data)
 	return buf, nil
 }
 
@@ -146,9 +139,7 @@ func DecodeServeOut(raw []byte) (provenance byte, data []float32, err error) {
 		return 0, nil, fmt.Errorf("transport: serve output has %d trailing bytes", len(body)%4)
 	}
 	data = make([]float32, len(body)/4)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
-	}
+	Float32s(data, body)
 	return provenance, data, nil
 }
 
