@@ -58,7 +58,7 @@ var servingSweep = struct {
 	mults      []float64
 	ticks      int
 	tick       time.Duration
-	burstFrom  int     // burst window inside the top point, in ticks
+	burstFrom  int // burst window inside the top point, in ticks
 	burstTo    int
 	burstMult  float64
 	diurnalAmp float64

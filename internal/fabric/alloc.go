@@ -22,9 +22,9 @@
 //  3. Accounting is anchored. A flow's remaining bytes and a link's
 //     carried/busy integrals are closed-form between rate changes; the
 //     anchors move only when a rate (or a link's rate sum) changes
-//     bitwise. Both allocator modes therefore move anchors at identical
-//     instants with identical values, making lazy and eager evaluation
-//     indistinguishable.
+//     bitwise. The settle and the oracle therefore move anchors at
+//     identical instants with identical values, making lazy and eager
+//     evaluation indistinguishable.
 package fabric
 
 import (
@@ -48,14 +48,11 @@ func (n *Network) settle() {
 
 	var scopeF []*Flow
 	var scopeL []*Link
-	switch n.mode {
-	case ModeOracle:
+	if n.oracle {
 		scopeF, scopeL = n.scopeOracle(trig)
 		n.resetFill(scopeF, scopeL)
 		fillOracle(scopeF)
-	case ModeHierarchical:
-		scopeF, scopeL = n.settleHier(trig)
-	default:
+	} else {
 		var pathSum int
 		scopeF, scopeL, pathSum = n.scopeComponent(trig)
 		n.fillComponent(scopeF, scopeL, pathSum)
@@ -68,10 +65,7 @@ func (n *Network) settle() {
 		if f.newRate == f.rate {
 			continue
 		}
-		if n.mode == ModeHierarchical {
-			n.profUpdate(f)
-		}
-		rem := f.anchorRem - f.goodput*(now-f.anchorAt)
+		rem := f.anchorRem - float64(f.goodput*(now-f.anchorAt))
 		if rem < 0 {
 			rem = 0
 		}
@@ -95,7 +89,7 @@ func (n *Network) settle() {
 
 	// Recompute the rate sums of scope links; sync the carried/busy
 	// integrals only where a sum changed bitwise, so the integration
-	// points coincide across alloc modes.
+	// points coincide under the settle and the oracle.
 	for _, l := range scopeL {
 		var sr, sg float64
 		for _, ref := range l.flows {
@@ -104,8 +98,8 @@ func (n *Network) settle() {
 		}
 		if sr != l.sumRate || sg != l.sumGoodput {
 			dt := now - l.lastSync
-			l.carried += l.sumGoodput * dt
-			l.busyInt += l.sumRate * dt
+			l.carried += float64(l.sumGoodput * dt)
+			l.busyInt += float64(l.sumRate * dt)
 			l.lastSync = now
 			l.sumRate = sr
 			l.sumGoodput = sg
@@ -154,7 +148,7 @@ func (n *Network) scopeOracle(trig []*Link) ([]*Flow, []*Link) {
 // closes the scope. The returned flows are in activation (ord) order.
 //
 // The walk also resets the fill state (what resetFill does for the
-// other scopes): a component holds every flow crossing any of its
+// oracle's scope): a component holds every flow crossing any of its
 // links, so a link's unfrozen count is its whole flow list the moment
 // it is discovered. pathSum is the scope's Σ path lengths, the same
 // count summed over links.
@@ -235,12 +229,8 @@ func (n *Network) orderScope(scopeF []*Flow, gen uint64) []*Flow {
 	return scopeF
 }
 
-// resetFill resets link fill state for a new waterfill, counting each
-// link's unfrozen flows from scopeF (a hierarchical domain scope need
-// not hold every flow of its links). Bottleneck ties are broken by the
-// links' creation index — a key that is stable across settles, which is
-// what lets the hierarchical mode replay an external link's freeze in
-// exactly the global tie order (see hier.go).
+// resetFill resets link fill state for the oracle's waterfill, counting
+// each link's unfrozen flows from scopeF.
 func (n *Network) resetFill(scopeF []*Flow, scopeL []*Link) {
 	for _, l := range scopeL {
 		l.startFill(0)
@@ -255,12 +245,10 @@ func (n *Network) resetFill(scopeF []*Flow, scopeL []*Link) {
 }
 
 // startFill gives l full capacity and nActive unfrozen flows for a new
-// waterfill, and clears its per-fill level scratch (see hier.go).
+// waterfill.
 func (l *Link) startFill(nActive int) {
 	l.nActive = nActive
 	l.residual = l.capacity
-	l.hierSel = false
-	l.newLevel = math.Inf(1)
 }
 
 // scanHeapC weighs the scan's cost bound against the heap's in
@@ -530,8 +518,7 @@ func (n *Network) siftDown(i int) bool {
 
 // --- indexed bottleneck heap, keyed (share, index) ------------------------
 //
-// The one bottleneck heap of both fills that use one (fillHeap and
-// hier.go's hierFill). Every scope link occupies at most one slot
+// fillHeap's bottleneck heap. Every scope link occupies at most one slot
 // (Link.hpos) with its key cached in Link.hshare; a freeze batch re-keys
 // the links it touched in place, so a pop never meets a stale entry.
 // The order — (residual/nActive, index) — matches the naive rescan

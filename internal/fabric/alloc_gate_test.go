@@ -21,14 +21,14 @@ func allocsRetry(runs int, fn func()) float64 {
 	return n
 }
 
-// gateNet builds a fat-tree under the given mode, admits one sparse
+// gateNet builds a fat-tree, admits one sparse
 // All-to-All (fanout peers per machine) of effectively infinite flows,
 // and steps the engine until every flow is active and the initial
 // settle has run. The returned trigger is one flow's path — the exact
 // trigger shape a completion settle sees.
-func gateNet(t *testing.T, mode AllocMode, machines, trunks, fanout int) (*benchTopo, []*Link) {
+func gateNet(t *testing.T, machines, trunks, fanout int) (*benchTopo, []*Link) {
 	t.Helper()
-	topo := newBenchTopo(machines, trunks, mode)
+	topo := newBenchTopo(machines, trunks)
 	specs := topo.sparseA2ASpecs(0, fanout, 1e18)
 	flows := topo.net.StartFlows(specs)
 	for topo.net.nActive < len(flows) || topo.net.settlePending {
@@ -39,14 +39,12 @@ func gateNet(t *testing.T, mode AllocMode, machines, trunks, fanout int) (*bench
 	return topo, flows[0].path
 }
 
-// TestSettleSteadyStateZeroAlloc is the hierarchical allocator's
-// allocation-regression gate: a warm settle — scope resolution,
-// progressive filling, freeze-profile caps, scope memo, bottleneck
-// cache — must perform zero heap allocations in every mode. All fill
-// scratch (cap arrays, source buckets, share heap, domain lists, memo
-// values) lives on the Network and grows once; this test pins that the
-// warm path never falls off it (allocation count, not bytes, so a
-// single escaped local fails it).
+// TestSettleSteadyStateZeroAlloc is the settle's allocation-regression
+// gate: a warm settle — component walk, scope ordering, progressive
+// filling — must perform zero heap allocations on either fill. All fill
+// scratch (scope lists, BFS queue, bottleneck heap) lives on the Network
+// and grows once; this test pins that the warm path never falls off it
+// (allocation count, not bytes, so a single escaped local fails it).
 //
 // The settle core is invoked directly, with the scratch restore the
 // real settle performs, because a full engine-driven flow lifecycle
@@ -60,41 +58,31 @@ func TestSettleSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race runtime")
 	}
-	// The incremental mode is gated on both sides of the fill selector:
-	// 8 machines is dense enough to scan, 64 machines sparse enough that
-	// the component takes the heap (checked below, so the gate cannot
-	// drift onto one branch).
-	modes := []struct {
+	// Gated on both sides of the fill selector: 8 machines is dense
+	// enough to scan, 64 machines sparse enough that the component takes
+	// the heap (checked below, so the gate cannot drift onto one branch).
+	cases := []struct {
 		name                     string
-		mode                     AllocMode
 		machines, trunks, fanout int
 		wantScan                 bool
 	}{
-		{"incremental", ModeIncremental, 8, 4, 4, true},
-		{"incremental-heap", ModeIncremental, 64, 16, 2, false},
-		{"hierarchical", ModeHierarchical, 8, 4, 4, false},
+		{"incremental", 8, 4, 4, true},
+		{"incremental-heap", 64, 16, 2, false},
 	}
-	for _, m := range modes {
+	for _, m := range cases {
 		t.Run(m.name, func(t *testing.T) {
-			topo, trig := gateNet(t, m.mode, m.machines, m.trunks, m.fanout)
+			topo, trig := gateNet(t, m.machines, m.trunks, m.fanout)
 			net := topo.net
 			settleOnce := func() {
-				var scopeF []*Flow
-				var scopeL []*Link
-				if m.mode == ModeHierarchical {
-					scopeF, scopeL = net.settleHier(trig)
-				} else {
-					var pathSum int
-					scopeF, scopeL, pathSum = net.scopeComponent(trig)
-					if scanFits(len(scopeL), pathSum) != m.wantScan {
-						t.Fatalf("%d links, Σ path %d: scanFits = %v, want %v", len(scopeL), pathSum, !m.wantScan, m.wantScan)
-					}
-					net.fillComponent(scopeF, scopeL, pathSum)
+				scopeF, scopeL, pathSum := net.scopeComponent(trig)
+				if scanFits(len(scopeL), pathSum) != m.wantScan {
+					t.Fatalf("%d links, Σ path %d: scanFits = %v, want %v", len(scopeL), pathSum, !m.wantScan, m.wantScan)
 				}
+				net.fillComponent(scopeF, scopeL, pathSum)
 				net.scopeFlows = scopeF[:0]
 				net.scopeLinks = scopeL[:0]
 			}
-			settleOnce() // warm scope memo and fill scratch
+			settleOnce() // warm the fill scratch
 			settleOnce() // grow every reused slice to capacity
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			if n := allocsRetry(50, settleOnce); n != 0 {

@@ -19,17 +19,16 @@ type benchTopo struct {
 	core []*Link
 }
 
-func newBenchTopo(machines, trunks int, mode AllocMode) *benchTopo {
+func newBenchTopo(machines, trunks int) *benchTopo {
 	eng := sim.NewEngine()
 	net := NewNetwork(eng)
-	net.SetAllocMode(mode)
 	t := &benchTopo{eng: eng, net: net}
 	for m := 0; m < machines; m++ {
 		t.up = append(t.up, net.NewLink(fmt.Sprintf("up%d", m), "nic", 1e10, 0))
 		t.down = append(t.down, net.NewLink(fmt.Sprintf("down%d", m), "nic", 1e10, 0))
 	}
 	for c := 0; c < trunks; c++ {
-		t.core = append(t.core, net.NewLink(fmt.Sprintf("core%d", c), "core", 4e10, 0).MarkTrunk())
+		t.core = append(t.core, net.NewLink(fmt.Sprintf("core%d", c), "core", 4e10, 0))
 	}
 	return t
 }
@@ -58,8 +57,8 @@ func (t *benchTopo) allToAllSpecs(round int, size float64) []FlowSpec {
 }
 
 // sparseA2ASpecs builds one sparse All-to-All round: each machine
-// sends to `fanout` peers at quadratic strides (the hierarchical /
-// 2-hop A2A shape large clusters actually run — dense pairwise flows
+// sends to `fanout` peers at quadratic strides (the 2-hop A2A shape
+// large clusters actually run — dense pairwise flows
 // stop being realistic past a few dozen machines). Sizes are skewed so
 // completions stagger and every one forces a reallocation.
 func (t *benchTopo) sparseA2ASpecs(round, fanout int, size float64) []FlowSpec {
@@ -111,61 +110,30 @@ func runRounds(t *benchTopo, rounds int, specsFor func(r int) []FlowSpec, check 
 	drainChecked(t.net, check...)
 }
 
-// runA2AScale is the scaling-curve workload: two rounds of sparse
-// All-to-All (8 peers per machine, the hierarchical shape), core trunks
-// scaled with the cluster. onComplete, if not nil, sees every flow.
-func runA2AScale(machines int, mode AllocMode, onComplete func(*Flow)) *benchTopo {
-	t := newBenchTopo(machines, max(machines/4, 8), mode)
-	runRounds(t, 2, func(r int) []FlowSpec {
-		specs := t.sparseA2ASpecs(r, 8, 1e6)
-		for i := range specs {
-			specs[i].OnComplete = onComplete
-		}
-		return specs
-	})
-	return t
-}
-
-// benchmarkA2AScale runs the curve at 32–4096 machines. Until the
-// benchmark has probe rows for it, this is where the 1024/4096-machine
-// points are read: go test -run '^$' -bench Scale ./internal/fabric.
-// The count that keeps the hierarchical points fast is gated by
-// TestHierScopingHoldsAtScale, not by wall-clock.
-func benchmarkA2AScale(b *testing.B, machines int, mode AllocMode) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runA2AScale(machines, mode, nil)
-	}
-}
-
-func BenchmarkA2AScale32Hier(b *testing.B)  { benchmarkA2AScale(b, 32, ModeHierarchical) }
-func BenchmarkA2AScale256Hier(b *testing.B) { benchmarkA2AScale(b, 256, ModeHierarchical) }
-
-// BenchmarkA2AScale1024 is the incremental allocator's superlinear
-// wall: ~8k staggered flows per round fused into one component by the
-// shared trunks, ~6.5 s per iteration on a 2-core x86 box (the
-// hierarchical point: ~0.85 s), so the CI smoke tier (-short) skips it.
+// BenchmarkA2AScale1024 is the allocator's superlinear wall: two
+// rounds of sparse All-to-All (8 peers per machine) on 1 024 machines,
+// ~8k staggered flows per round fused into one component by 256 shared
+// trunks, ~6.3 s per iteration on a 2-core x86 box, so the CI smoke
+// tier (-short) skips it. Read it with
+// go test -run '^$' -bench A2AScale ./internal/fabric.
 func BenchmarkA2AScale1024(b *testing.B) {
 	if testing.Short() {
-		b.Skip("1024-machine A2A on the incremental allocator is ~6.5 s/op; the -short tier skips it")
+		b.Skip("1024-machine A2A is ~6.3 s/op; the -short tier skips it")
 	}
-	benchmarkA2AScale(b, 1024, ModeIncremental)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t := newBenchTopo(1024, 256)
+		runRounds(t, 2, func(r int) []FlowSpec { return t.sparseA2ASpecs(r, 8, 1e6) })
+	}
 }
-
-// The hierarchical allocator's headline points: the same 1024-machine
-// workload it must beat ≥100× (ISSUE 9), and the 4096-machine
-// extension that should land within ~8× of the 1024 point
-// (near-linear). Both are cheap enough to run in the -short CI smoke.
-func BenchmarkA2AScale1024Hier(b *testing.B) { benchmarkA2AScale(b, 1024, ModeHierarchical) }
-func BenchmarkA2AScale4096Hier(b *testing.B) { benchmarkA2AScale(b, 4096, ModeHierarchical) }
 
 // benchmarkAdmissionAt measures admitting `flows` flows in one batch
 // on a machines-wide topology and running the network dry — the
 // admission + reallocation + completion pipeline end to end.
-func benchmarkAdmissionAt(b *testing.B, machines, flows int, mode AllocMode) {
+func benchmarkAdmissionAt(b *testing.B, machines, flows int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := newBenchTopo(machines, 8, mode)
+		t := newBenchTopo(machines, 8)
 		var specs []FlowSpec
 		for f := 0; f < flows; f++ {
 			s := f % machines
@@ -186,18 +154,8 @@ func benchmarkAdmissionAt(b *testing.B, machines, flows int, mode AllocMode) {
 
 // AdmissionScale admits one sparse-A2A wave (8 flows per machine) on a
 // machines-wide topology — the scaling-curve companion to A2AScale.
-func BenchmarkAdmissionScale1024(b *testing.B) {
-	benchmarkAdmissionAt(b, 1024, 8*1024, ModeIncremental)
-}
-func BenchmarkAdmissionScale4096(b *testing.B) {
-	benchmarkAdmissionAt(b, 4096, 8*4096, ModeIncremental)
-}
-func BenchmarkAdmissionScale1024Hier(b *testing.B) {
-	benchmarkAdmissionAt(b, 1024, 8*1024, ModeHierarchical)
-}
-func BenchmarkAdmissionScale4096Hier(b *testing.B) {
-	benchmarkAdmissionAt(b, 4096, 8*4096, ModeHierarchical)
-}
+func BenchmarkAdmissionScale1024(b *testing.B) { benchmarkAdmissionAt(b, 1024, 8*1024) }
+func BenchmarkAdmissionScale4096(b *testing.B) { benchmarkAdmissionAt(b, 4096, 8*4096) }
 
 // BenchmarkReallocation1kIncremental stresses the settle path itself:
 // a standing population of long flows keeps every link busy while
@@ -207,7 +165,7 @@ func BenchmarkReallocation1kIncremental(b *testing.B) {
 	b.ReportAllocs()
 	const machines, churn = 32, 1000
 	for i := 0; i < b.N; i++ {
-		t := newBenchTopo(machines, 8, ModeIncremental)
+		t := newBenchTopo(machines, 8)
 		// Standing load: one long flow per machine pair ring.
 		var specs []FlowSpec
 		for m := 0; m < machines; m++ {

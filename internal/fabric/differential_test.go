@@ -12,9 +12,8 @@ import (
 // progSpec is a reproducible random workload: a topology plus a
 // scheduled program of flow admissions (some batched, some single).
 type progSpec struct {
-	caps  []float64 // link capacities
-	lats  []float64 // link latencies
-	trunk []bool    // MarkTrunk flags (nil = all edge)
+	caps []float64 // link capacities
+	lats []float64 // link latencies
 	// batches[t] admitted at time adTimes[t]
 	adTimes []float64
 	batches [][]progFlow
@@ -76,6 +75,65 @@ func randProgram(rng *rand.Rand) progSpec {
 	return p
 }
 
+// randClusterProgram draws cluster-shaped workloads: per-machine up/down
+// NIC links plus a small shared core, with flow waves mixing
+// core-crossing cross-machine transfers, coreless cross-machine flows
+// and single-link local flows. Capacities and sizes come from the same
+// small grids as randProgram, so distinct links hit bitwise-equal
+// shares and the (share, index) tie-break decides every bottleneck.
+func randClusterProgram(rng *rand.Rand) progSpec {
+	nMach := 3 + rng.Intn(10)
+	nCore := 1 + rng.Intn(3)
+	capGrid := []float64{1e9, 2e9, 4e9, 1e9}
+	latGrid := []float64{0, 0, 1e-6}
+	var p progSpec
+	// links: up[m] = m, down[m] = nMach+m, core[c] = 2*nMach+c
+	for i := 0; i < 2*nMach; i++ {
+		p.caps = append(p.caps, capGrid[rng.Intn(len(capGrid))])
+		p.lats = append(p.lats, latGrid[rng.Intn(len(latGrid))])
+	}
+	for c := 0; c < nCore; c++ {
+		p.caps = append(p.caps, 4e9)
+		p.lats = append(p.lats, latGrid[rng.Intn(len(latGrid))])
+	}
+	sizeGrid := []float64{1e6, 2e6, 4e6, 1e6, 8e6}
+	effGrid := []float64{1, 1, 0.5, 0.85}
+	timeGrid := []float64{0, 0, 0.001, 0.002, 0.005, 0.01}
+	nBatches := 2 + rng.Intn(5)
+	for b := 0; b < nBatches; b++ {
+		p.adTimes = append(p.adTimes, timeGrid[rng.Intn(len(timeGrid))])
+		p.single = append(p.single, rng.Intn(3) == 0)
+		nFlows := 2 + rng.Intn(10)
+		var fl []progFlow
+		for i := 0; i < nFlows; i++ {
+			src := rng.Intn(nMach)
+			dst := rng.Intn(nMach)
+			var path []int
+			switch rng.Intn(6) {
+			case 0: // local: source NIC only
+				path = []int{src}
+			case 1: // coreless cross-machine: up → down
+				if dst == src {
+					dst = (dst + 1) % nMach
+				}
+				path = []int{src, nMach + dst}
+			default: // the common shape: up → core → down
+				path = []int{src, 2*nMach + (src+dst)%nCore, nMach + dst}
+			}
+			size := sizeGrid[rng.Intn(len(sizeGrid))]
+			if rng.Intn(12) == 0 {
+				size = 0 // pure-latency flow
+			}
+			fl = append(fl, progFlow{size: size, eff: effGrid[rng.Intn(len(effGrid))], path: path})
+		}
+		p.batches = append(p.batches, fl)
+	}
+	for i := 0; i < 6; i++ {
+		p.probes = append(p.probes, timeGrid[rng.Intn(len(timeGrid))]+float64(i)*0.0013)
+	}
+	return p
+}
+
 // progResult is everything observable about one run, captured so two
 // runs can be compared float-for-float.
 type progResult struct {
@@ -97,17 +155,17 @@ func drainChecked(net *Network, check ...func(*Network)) {
 	}
 }
 
-func runProgram(p progSpec, mode AllocMode, check ...func(*Network)) progResult {
+// runProgram runs p to completion on a fresh network, settling through
+// the naive reference fill when oracle is set.
+func runProgram(p progSpec, oracle bool, check ...func(*Network)) progResult {
 	eng := sim.NewEngine()
 	net := NewNetwork(eng)
-	net.SetAllocMode(mode)
+	if oracle {
+		net.UseOracle()
+	}
 	var links []*Link
 	for i := range p.caps {
-		l := net.NewLink("l", "test", p.caps[i], p.lats[i])
-		if i < len(p.trunk) && p.trunk[i] {
-			l.MarkTrunk()
-		}
-		links = append(links, l)
+		links = append(links, net.NewLink("l", "test", p.caps[i], p.lats[i]))
 	}
 	var res progResult
 	var flows []*Flow
@@ -169,6 +227,33 @@ func bitEqual(a, b []float64) (int, bool) {
 	return 0, true
 }
 
+// requireBitIdentical asserts two runs agree float-for-float on every
+// observable: completion times, completion callback order, per-link
+// carried bytes and busy time, and mid-run rate/remaining probes.
+func requireBitIdentical(t *testing.T, tag string, want, got progResult) {
+	t.Helper()
+	if i, ok := bitEqual(want.finishAt, got.finishAt); !ok {
+		t.Fatalf("%s: completion time diverges at flow %d: %v vs %v", tag, i, want.finishAt[i], got.finishAt[i])
+	}
+	if i, ok := bitEqual(want.carried, got.carried); !ok {
+		t.Fatalf("%s: carried bytes diverge at link %d: %v vs %v", tag, i, want.carried[i], got.carried[i])
+	}
+	if i, ok := bitEqual(want.busy, got.busy); !ok {
+		t.Fatalf("%s: busy seconds diverge at link %d: %v vs %v", tag, i, want.busy[i], got.busy[i])
+	}
+	if i, ok := bitEqual(want.probe, got.probe); !ok {
+		t.Fatalf("%s: mid-run probe diverges at sample %d: %v vs %v", tag, i, want.probe[i], got.probe[i])
+	}
+	if len(want.order) != len(got.order) {
+		t.Fatalf("%s: completion count diverges: %d vs %d", tag, len(want.order), len(got.order))
+	}
+	for i := range want.order {
+		if want.order[i] != got.order[i] {
+			t.Fatalf("%s: completion order diverges at %d: %q vs %q", tag, i, want.order[i], got.order[i])
+		}
+	}
+}
+
 // refillMismatch re-fills every active flow from scratch with the given
 // exact fill and returns the first flow whose fresh rate differs
 // bitwise from its committed one (nil if none). Component restriction
@@ -207,13 +292,14 @@ func requireFillsAgree(t *testing.T, tag string) func(*Network) {
 }
 
 // TestDifferentialOracleVsIncremental runs seeded random flow programs
-// under both allocators and requires bit-identical completion times,
-// completion order, link utilization, and mid-run rate/remaining
-// samples. This is the contract that lets the incremental allocator
-// replace the naive one without perturbing any experiment. The
-// incremental run also re-fills every settled state with fillScan and
-// with the heap fill directly, so both fills the size selector chooses
-// between are pinned on every seed, not only the one it picked.
+// through the component settle and through the naive oracle and
+// requires bit-identical completion times, completion order, link
+// utilization, and mid-run rate/remaining samples. This is the contract
+// that lets the incremental settle replace the naive one without
+// perturbing any experiment. The settle's run also re-fills every
+// settled state with fillScan and with the heap fill directly, so both
+// fills the size selector chooses between are pinned on every seed,
+// not only the one it picked.
 func TestDifferentialOracleVsIncremental(t *testing.T) {
 	cases := 300
 	if testing.Short() {
@@ -222,8 +308,27 @@ func TestDifferentialOracleVsIncremental(t *testing.T) {
 	for seed := 0; seed < cases; seed++ {
 		p := randProgram(rand.New(rand.NewSource(int64(seed))))
 		tag := fmt.Sprintf("seed %d", seed)
-		oracle := runProgram(p, ModeOracle)
-		inc := runProgram(p, ModeIncremental, requireFillsAgree(t, tag))
+		oracle := runProgram(p, true)
+		inc := runProgram(p, false, requireFillsAgree(t, tag))
+		requireBitIdentical(t, tag+": incremental vs oracle", oracle, inc)
+	}
+}
+
+// TestDifferentialHierarchical holds the same bit-identity contract on
+// hierarchical cluster topologies: per-machine NIC links under a small
+// shared core (randClusterProgram), where many flows cross the core and
+// distinct links tie on their shares, so the (share, index) tie-break
+// decides every bottleneck.
+func TestDifferentialHierarchical(t *testing.T) {
+	cases := 300
+	if testing.Short() {
+		cases = 60
+	}
+	for seed := 0; seed < cases; seed++ {
+		p := randClusterProgram(rand.New(rand.NewSource(int64(40000 + seed))))
+		tag := fmt.Sprintf("cluster seed %d", seed)
+		oracle := runProgram(p, true)
+		inc := runProgram(p, false, requireFillsAgree(t, tag))
 		requireBitIdentical(t, tag+": incremental vs oracle", oracle, inc)
 	}
 }
@@ -238,7 +343,7 @@ func TestWideSettleForcedScanMatches(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("one scan re-fill of 576 links per settle over two 2 048-flow rounds")
 	}
-	topo := newBenchTopo(256, 64, ModeIncremental)
+	topo := newBenchTopo(256, 64)
 	runRounds(topo, 2, func(r int) []FlowSpec { return topo.sparseA2ASpecs(r, 8, 1e6) }, func(net *Network) {
 		if f := refillMismatch(net, fillScan); f != nil {
 			t.Fatalf("t=%v: fillScan re-fill of %q = %v, production committed %v", net.eng.Now(), f.name, f.newRate, f.rate)
@@ -259,9 +364,9 @@ func TestFillSelector(t *testing.T) {
 		links, pathSum int
 		wantScan       bool
 	}{
-		{"p32 dense", newBenchTopo(32, 8, ModeIncremental),
+		{"p32 dense", newBenchTopo(32, 8),
 			func(b *benchTopo) []FlowSpec { return b.allToAllSpecs(0, 1e6) }, 72, 2976, true},
-		{"s256 sparse", newBenchTopo(256, 64, ModeIncremental),
+		{"s256 sparse", newBenchTopo(256, 64),
 			func(b *benchTopo) []FlowSpec { return b.sparseA2ASpecs(0, 8, 1e6) }, 576, 6144, false},
 	}
 	for _, c := range cases {
@@ -286,11 +391,11 @@ func TestStartFlowsMatchesSingleAdmission(t *testing.T) {
 		for i := range p.single {
 			p.single[i] = false
 		}
-		batched := runProgram(p, ModeIncremental)
+		batched := runProgram(p, false)
 		for i := range p.single {
 			p.single[i] = true
 		}
-		single := runProgram(p, ModeIncremental)
+		single := runProgram(p, false)
 		if i, ok := bitEqual(batched.finishAt, single.finishAt); !ok {
 			t.Fatalf("seed %d: batched vs single completion diverges at flow %d: %v vs %v",
 				seed, i, batched.finishAt[i], single.finishAt[i])

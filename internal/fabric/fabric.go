@@ -19,17 +19,21 @@
 // Determinism: flows and links carry explicit activation ordinals and
 // all iteration is over ord-ordered slices, never over maps, so a given
 // sequence of StartFlow/StartFlows calls always produces the identical
-// timeline.
+// timeline. Every product that feeds a sum is written float64(a*b),
+// which forbids the fused multiply-add arm64's compiler would otherwise
+// emit, so the timeline is the same bits on every architecture
+// (internal/tensor's TestNoFusedMultiplyAdd checks the assembly).
 //
 // Performance: rate recomputation ("settling") is batched — any number
 // of arrivals and completions at one virtual instant trigger a single
-// settle — and, in the default ModeIncremental, restricted to the
-// connected component of links and flows actually perturbed. Flow and
-// link byte accounting is anchor-based (see alloc.go), so nothing is
-// integrated eagerly per event; completions are tracked in a min-heap of
-// exact predicted finish times. ModeOracle retains the original naive
-// full-rescan progressive filling as an in-package reference; the two
-// modes produce bit-identical results (rates, completion times, link
+// settle — and restricted to the connected component of links and flows
+// actually perturbed, filled by a scan or an indexed bottleneck heap
+// whichever the component's size makes cheaper. Flow and link byte
+// accounting is anchor-based (see alloc.go), so nothing is integrated
+// eagerly per event; completions are tracked in a min-heap of exact
+// predicted finish times. The original naive full-rescan progressive
+// filling stays in the package as the test oracle; the production
+// settle produces bit-identical results (rates, completion times, link
 // utilization), which differential_test.go enforces on seeded random
 // workloads.
 package fabric
@@ -39,28 +43,6 @@ import (
 	"math"
 
 	"janus/internal/sim"
-)
-
-// AllocMode selects the allocator implementation. Both modes compute
-// exactly the same floats; ModeOracle exists as the trusted reference
-// for differential testing and costs O(rounds·flows·pathlen) per settle.
-type AllocMode int
-
-const (
-	// ModeIncremental recomputes only the connected component of
-	// links/flows perturbed by the arrivals/completions being settled,
-	// selecting bottlenecks by a scan or an indexed heap, whichever the
-	// component's size makes cheaper. Default.
-	ModeIncremental AllocMode = iota
-	// ModeOracle recomputes every active flow by naive progressive
-	// filling with full rescans, exactly as the original implementation.
-	ModeOracle
-	// ModeHierarchical partitions the links into edge domains and a
-	// trunk core (see MarkTrunk) and settles only the domains whose
-	// bottleneck levels actually change, coupling them through cached
-	// per-link levels and expanding the scope to the exact max-min
-	// fixpoint. Bit-identical to ModeIncremental (see hier.go).
-	ModeHierarchical
 )
 
 // Link is a directed, fixed-capacity network resource.
@@ -76,15 +58,16 @@ type Link struct {
 	// flows crossing this link right now (activated, unfinished), in
 	// arrival order perturbed by swap-removal on completion. The order
 	// is itself deterministic (same event sequence => same order), and
-	// identical across alloc modes, which is all bit-identity needs.
+	// identical under the settle and the oracle, which is all
+	// bit-identity needs.
 	flows []linkRef
 
 	// Lazily synced accounting. carried/busyInt integrate delivered
 	// bytes and allocated rate up to lastSync; the current regime
 	// (sumRate/sumGoodput, constant between rate changes) extends them
 	// to any later read point. A link is synced only when its sums
-	// change bitwise, so both alloc modes sync at identical instants
-	// with identical values.
+	// change bitwise, so the settle and the oracle sync at identical
+	// instants with identical values.
 	carried    float64
 	busyInt    float64
 	lastSync   sim.Time
@@ -102,39 +85,6 @@ type Link struct {
 	pushVer  uint32
 	hpos     int32
 	hshare   float64
-
-	// prof is the trunk link's freeze profile: the committed rates of
-	// its crossing flows, sorted (rate, ord). It is the "macro-flow"
-	// aggregate the hierarchical settle replays instead of enumerating
-	// an in-scope trunk's mostly-unperturbed population (see hier.go).
-	// Maintained only under ModeHierarchical, only on trunk links.
-	prof []profEntry
-
-	// hierarchical-mode state (see hier.go). level/levelSel are the
-	// committed bottleneck-level cache: the share at which this link was
-	// last selected as a bottleneck (or tied a bottleneck layer) and
-	// froze — or would have frozen — its flows, valid only while
-	// levelSel (a never-selected link freezes nobody and exerts no
-	// external pressure). popRes/popN snapshot the link's residual
-	// capacity and unfrozen-flow count at that pop, so a later settle
-	// can replay the link's in-layer drift without rescoping it.
-	// newLevel/hierSel/newPopRes/newPopN are per-fill scratch.
-	trunk     bool
-	level     float64
-	levelSel  bool
-	popRes    float64
-	popN      int32
-	newLevel  float64
-	hierSel   bool
-	newPopRes float64
-	newPopN   int32
-
-	// Cap-source scratch for the counting layout of a fill attempt's
-	// event stream (see hierFill): generation tag, entry count and
-	// scatter cursor for this link's bucket of sourced cap events.
-	srcGen  uint64
-	srcCnt  int32
-	srcSlot int32
 }
 
 // linkRef locates a flow on a link together with the index of this link
@@ -147,27 +97,11 @@ type linkRef struct {
 // Name returns the link's name.
 func (l *Link) Name() string { return l.name }
 
-// MarkTrunk declares this link part of the shared trunk core for
-// ModeHierarchical's domain partition: flows crossing a trunk link do
-// not merge the edge domains they touch — the domains couple only
-// through the trunk's cached bottleneck level (the per-trunk aggregate
-// the settle validates). Call before starting flows over the link; the
-// mark is inert in every other alloc mode. Returns l for chaining.
-func (l *Link) MarkTrunk() *Link {
-	l.trunk = true
-	// Defensive: if flows already settled over this link, seed the
-	// freeze profile so the invariant "every committed crossing flow of
-	// a trunk is in its profile" holds from here on.
-	for _, ref := range l.flows {
-		if ref.f.profOn {
-			l.profIns(ref.f.rate, ref.f)
-		}
-	}
-	return l
-}
-
-// IsTrunk reports whether MarkTrunk was called.
-func (l *Link) IsTrunk() bool { return l.trunk }
+// MarkTrunk returns l unchanged.
+//
+// Deprecated: the fabric has one allocator, which needs no trunk
+// marks. The method remains only for existing callers.
+func (l *Link) MarkTrunk() *Link { return l }
 
 // Class returns the traffic-accounting class assigned at creation.
 func (l *Link) Class() string { return l.class }
@@ -181,7 +115,7 @@ func (l *Link) Latency() float64 { return l.latency }
 // CarriedBytes returns the total bytes the link has carried up to the
 // current virtual time.
 func (l *Link) CarriedBytes() float64 {
-	return l.carried + l.sumGoodput*(l.net.eng.Now()-l.lastSync)
+	return l.carried + float64(l.sumGoodput*(l.net.eng.Now()-l.lastSync))
 }
 
 // BusySeconds returns the capacity-normalised busy time: the integral of
@@ -191,7 +125,7 @@ func (l *Link) BusySeconds() float64 {
 	if l.capacity == 0 {
 		return 0
 	}
-	return (l.busyInt + l.sumRate*(l.net.eng.Now()-l.lastSync)) / l.capacity
+	return (l.busyInt + float64(l.sumRate*(l.net.eng.Now()-l.lastSync))) / l.capacity
 }
 
 // Flow is a transfer of a fixed number of bytes across a path of links.
@@ -224,22 +158,10 @@ type Flow struct {
 	heapIdx   int   // index in Network.fheap, -1 when not queued
 	posInLink []int // posInLink[i] = index of this flow in path[i].flows
 
-	// settle scratch (see alloc.go); hierCap/hierCapIdx/hierBoundary
-	// are the hierarchical mode's boundary classification (see hier.go):
-	// the (level, index) of the minimum selected external link, the
-	// flow's external demand cap.
-	compGen      uint64
-	newRate      float64
-	frozen       bool
-	hierCap      float64
-	hierCapIdx   int
-	hierCapL     *Link
-	hierBoundary bool
-	// profOn marks that this flow's committed rate is recorded in the
-	// freeze profile of every trunk link on its path; phGen marks it as
-	// a phantom of the current fill attempt (see hier.go).
-	profOn bool
-	phGen  uint64
+	// settle scratch (see alloc.go)
+	compGen uint64
+	newRate float64
+	frozen  bool
 }
 
 // Name returns the flow's name.
@@ -254,7 +176,7 @@ func (f *Flow) Remaining() float64 {
 	if !f.active {
 		return f.remaining
 	}
-	rem := f.anchorRem - f.goodput*(f.net.eng.Now()-f.anchorAt)
+	rem := f.anchorRem - float64(f.goodput*(f.net.eng.Now()-f.anchorAt))
 	if rem < 0 {
 		return 0
 	}
@@ -290,11 +212,10 @@ type FlowSpec struct {
 type Network struct {
 	eng   *sim.Engine
 	links []*Link
-	mode  AllocMode
 
 	// active holds activated, unfinished flows in ord order. Completed
-	// flows are compacted out lazily (the incremental allocator never
-	// scans this slice; the oracle compacts before each settle).
+	// flows are compacted out lazily (the component settle never scans
+	// this slice; the oracle compacts before each settle).
 	active  []*Flow
 	nActive int // live flow count (excludes compacted-out dead entries)
 	nDead   int // dead entries still occupying active
@@ -319,28 +240,9 @@ type Network struct {
 	bfsQueue   []*Link
 	hheap      []*Link
 
-	// hierarchical-mode state (see hier.go): a monotone union-find over
-	// link indices partitioning non-trunk links into edge domains (with
-	// per-root member lists), domain scope marks, the boundary-flow cap
-	// heap, and the expansion scratch of the fixpoint iteration.
-	dsuParent     []int32
-	dsuSize       []int32
-	domNext       []int32
-	domTail       []int32
-	domMark       []uint64
-	domMarkGen    uint64
-	domList       []int32
-	capHeap       []capEntry
-	capArr        []capEntry
-	capSent       []capEntry
-	capSrcs       []*Link
-	srcKeys       []srcKey
-	growLinks     []*Link
-	growTrunks    []*Link
-	hierMut       []linkMut
-	hierMemoMap   map[uint64][]int32
-	hierRestarts  uint64
-	hierFallbacks uint64
+	// oracle routes every settle through the naive reference fill; only
+	// the package's tests set it (see export_test.go).
+	oracle bool
 
 	// OnFlowDone, if set, is invoked for every completed flow after its
 	// own onComplete callback. Used by the metrics recorder.
@@ -362,21 +264,19 @@ func (n *Network) Links() []*Link { return n.links }
 // ActiveFlows returns the number of flows currently consuming bandwidth.
 func (n *Network) ActiveFlows() int { return n.nActive }
 
-// SetAllocMode selects the allocator implementation. Must be called
-// before any flow is started; all modes produce bit-identical results,
-// so this only matters for performance (and for differential tests).
-func (n *Network) SetAllocMode(m AllocMode) { n.mode = m }
-
-// AllocModeSelected returns the allocator implementation in use.
-func (n *Network) AllocModeSelected() AllocMode { return n.mode }
-
 // NewLink creates a directed link. class is a free-form label ("nvlink",
-// "nic", "pcie", ...) used by traffic accounting.
+// "nic", "pcie", ...) used by traffic accounting. It panics unless the
+// capacity is positive and finite and the latency non-negative and
+// finite; a NaN in either would otherwise reach the event engine as an
+// event time.
 func (n *Network) NewLink(name, class string, capacityBps, latency float64) *Link {
-	if capacityBps <= 0 {
-		panic(fmt.Sprintf("fabric: link %q capacity must be positive, got %v", name, capacityBps))
+	if !(capacityBps > 0) || math.IsInf(capacityBps, 1) {
+		panic(fmt.Sprintf("fabric: link %q capacity must be positive and finite, got %v", name, capacityBps))
 	}
-	l := &Link{name: name, class: class, capacity: capacityBps, latency: latency, index: len(n.links), net: n, level: math.Inf(1)}
+	if !(latency >= 0) || math.IsInf(latency, 1) {
+		panic(fmt.Sprintf("fabric: link %q latency must be non-negative and finite, got %v", name, latency))
+	}
+	l := &Link{name: name, class: class, capacity: capacityBps, latency: latency, index: len(n.links), net: n}
 	n.links = append(n.links, l)
 	return l
 }
@@ -488,12 +388,6 @@ func pathLatency(path []*Link) float64 {
 // same instant assigns their first max-min share.
 func (n *Network) activate(batch []*Flow) {
 	now := n.eng.Now()
-	if n.mode == ModeHierarchical {
-		n.ensureHier()
-		for _, f := range batch {
-			n.unionDomains(f.path)
-		}
-	}
 	for _, f := range batch {
 		f.active = true
 		f.activated = now
@@ -523,14 +417,6 @@ func (n *Network) onCompletionEvent() {
 	for len(n.fheap) > 0 && n.fheap[0].finishAt <= now {
 		f := n.popCompletion()
 		f.active = false
-		if f.profOn {
-			for _, l := range f.path {
-				if l.trunk {
-					l.profDel(f.rate, f.ord)
-				}
-			}
-			f.profOn = false
-		}
 		f.rate = 0
 		f.goodput = 0
 		f.remaining = 0
@@ -549,7 +435,7 @@ func (n *Network) onCompletionEvent() {
 
 // removeFromLinks swap-removes f from every link on its path, fixing the
 // displaced flow's back-pointer. The resulting link-list orders depend
-// only on the event sequence, so they are identical across alloc modes.
+// only on the event sequence, so the settle and the oracle see the same.
 func (n *Network) removeFromLinks(f *Flow) {
 	for i, l := range f.path {
 		pos := f.posInLink[i]

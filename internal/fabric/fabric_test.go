@@ -431,6 +431,26 @@ func TestFlowEfficiencyValidation(t *testing.T) {
 	}
 }
 
+// NewLink rejects a capacity or latency the event engine cannot
+// schedule with: NaN fails every comparison, so each bound is checked
+// for it explicitly.
+func TestNewLinkRejectsNonFinite(t *testing.T) {
+	net := NewNetwork(sim.NewEngine())
+	for _, c := range []struct{ capacity, latency float64 }{
+		{0, 0}, {-1, 0}, {math.NaN(), 0}, {math.Inf(1), 0},
+		{100, -1e-6}, {100, math.NaN()}, {100, math.Inf(1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLink(capacity %v, latency %v) accepted", c.capacity, c.latency)
+				}
+			}()
+			net.NewLink("bad", "test", c.capacity, c.latency)
+		}()
+	}
+}
+
 // Property: halving a flow's efficiency exactly doubles its solo
 // completion time (above the latency floor).
 func TestEfficiencyScalingProperty(t *testing.T) {

@@ -134,7 +134,7 @@ func (e *Expert) Backward(cache *ExpertCache, dy *tensor.Matrix) (dx *tensor.Mat
 	da := tensor.GetUninit(dy.Rows, e.W2.Rows)
 	tensor.MatMulTransBInto(dy, e.W2, da) // dA = dY·W2ᵀ
 	dh1 := tensor.GetUninit(cache.H1.Rows, cache.H1.Cols)
-	tensor.GeLUGradInto(cache.H1, da, dh1)   // dH1 = dA ⊙ gelu'(H1)
+	tensor.GeLUGradInto(cache.H1, da, dh1) // dH1 = dA ⊙ gelu'(H1)
 	tensor.Put(da)
 	dw1 := tensor.MatMulTransA(cache.X, dh1) // dW1 = Xᵀ·dH1
 	dw2 := tensor.MatMulTransA(cache.A, dy)  // dW2 = Aᵀ·dY

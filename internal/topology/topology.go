@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"janus/internal/fabric"
 	"janus/internal/sim"
@@ -30,14 +31,6 @@ type Spec struct {
 	NumMachines int
 	GPUsPerNode int // GPUs per machine
 	GPUsPerPCIe int // GPUs attached to one PCIe switch (and one NIC)
-
-	// AllocMode selects the fabric allocator. The zero value is
-	// fabric.ModeIncremental (the default); fabric.ModeHierarchical
-	// activates the edge-domain/trunk-core decomposition, for which the
-	// builder marks every NIC link as trunk core — the spine is the
-	// only inter-machine coupling, so machines become edge domains. All
-	// modes compute bit-identical timelines (see internal/fabric).
-	AllocMode fabric.AllocMode
 
 	// Effective per-direction capacities, bytes/second.
 	NVLinkBps float64 // GPU <-> NVSwitch port
@@ -156,8 +149,12 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("topology: GPUsPerNode %d < 1", s.GPUsPerNode)
 	case s.GPUsPerPCIe < 1 || s.GPUsPerNode%s.GPUsPerPCIe != 0:
 		return fmt.Errorf("topology: GPUsPerPCIe %d must divide GPUsPerNode %d", s.GPUsPerPCIe, s.GPUsPerNode)
-	case s.NVLinkBps <= 0 || s.PCIeBps <= 0 || s.NICBps <= 0:
-		return fmt.Errorf("topology: link capacities must be positive")
+	case !positiveFinite(s.NVLinkBps) || !positiveFinite(s.PCIeBps) || !positiveFinite(s.NICBps):
+		return fmt.Errorf("topology: link capacities must be positive and finite (NVLink %v, PCIe %v, NIC %v)",
+			s.NVLinkBps, s.PCIeBps, s.NICBps)
+	case !nonNegativeFinite(s.NVLinkLatency) || !nonNegativeFinite(s.PCIeLatency) || !nonNegativeFinite(s.NICLatency):
+		return fmt.Errorf("topology: link latencies must be non-negative and finite (NVLink %v, PCIe %v, NIC %v)",
+			s.NVLinkLatency, s.PCIeLatency, s.NICLatency)
 	case s.GPUFlops <= 0:
 		return fmt.Errorf("topology: GPUFlops must be positive")
 	case s.A2AEfficiency <= 0 || s.A2AEfficiency > 1:
@@ -177,6 +174,12 @@ func (s Spec) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports v in (0, +Inf); NaN fails both comparisons.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// nonNegativeFinite reports v in [0, +Inf); NaN fails both comparisons.
+func nonNegativeFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // TotalGPUs returns NumMachines × GPUsPerNode.
 func (s Spec) TotalGPUs() int { return s.NumMachines * s.GPUsPerNode }
@@ -261,11 +264,6 @@ func NewOn(eng *sim.Engine, net *fabric.Network, spec Spec) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{Spec: spec, Engine: eng, Net: net}
-	if spec.AllocMode != fabric.ModeIncremental {
-		// A zero-value spec leaves a shared network's mode untouched;
-		// an explicit mode is authoritative.
-		net.SetAllocMode(spec.AllocMode)
-	}
 	for mi := 0; mi < spec.NumMachines; mi++ {
 		m := &Machine{Index: mi, Cluster: c}
 		m.CPU = sim.NewProcessor(eng, fmt.Sprintf("m%d.cpu", mi))
@@ -274,11 +272,8 @@ func NewOn(eng *sim.Engine, net *fabric.Network, spec Spec) (*Cluster, error) {
 			sw := &PCIeSwitch{Index: si}
 			sw.ToCPU = net.NewLink(fmt.Sprintf("m%d.sw%d->cpu", mi, si), "pcie-host", spec.PCIeBps, spec.PCIeLatency)
 			sw.FromCPU = net.NewLink(fmt.Sprintf("m%d.cpu->sw%d", mi, si), "pcie-host", spec.PCIeBps, spec.PCIeLatency)
-			// NIC links are the spine attachment — the only inter-machine
-			// resources — so they are the hierarchical mode's trunk core;
-			// the mark is inert under every other allocator.
-			sw.NICOut = net.NewLink(fmt.Sprintf("m%d.nic%d.out", mi, si), "nic", spec.NICBps, spec.NICLatency).MarkTrunk()
-			sw.NICIn = net.NewLink(fmt.Sprintf("m%d.nic%d.in", mi, si), "nic", spec.NICBps, spec.NICLatency).MarkTrunk()
+			sw.NICOut = net.NewLink(fmt.Sprintf("m%d.nic%d.out", mi, si), "nic", spec.NICBps, spec.NICLatency)
+			sw.NICIn = net.NewLink(fmt.Sprintf("m%d.nic%d.in", mi, si), "nic", spec.NICBps, spec.NICLatency)
 			m.Switches = append(m.Switches, sw)
 		}
 		for li := 0; li < spec.GPUsPerNode; li++ {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +20,14 @@ func TestSpecValidateRejects(t *testing.T) {
 		func(s *Spec) { s.GPUsPerNode = 0 },
 		func(s *Spec) { s.GPUsPerPCIe = 3 }, // does not divide 8
 		func(s *Spec) { s.NICBps = 0 },
+		func(s *Spec) { s.NICBps = math.NaN() },
+		func(s *Spec) { s.NVLinkBps = math.Inf(1) },
+		func(s *Spec) { s.PCIeBps = -1 },
+		func(s *Spec) { s.PCIeBps = math.NaN() },
+		func(s *Spec) { s.NVLinkLatency = math.NaN() },
+		func(s *Spec) { s.PCIeLatency = math.Inf(1) },
+		func(s *Spec) { s.NICLatency = -1e-6 },
+		func(s *Spec) { s.NICLatency = math.NaN() },
 		func(s *Spec) { s.GPUFlops = -1 },
 	}
 	for i, mut := range cases {
