@@ -134,7 +134,6 @@ type Flow struct {
 	size       float64
 	path       []*Link
 	eff        float64  // goodput fraction of the allocated rate
-	started    sim.Time // when StartFlow was called
 	activated  sim.Time // when the latency elapsed and bandwidth use began
 	finished   sim.Time
 	active     bool
@@ -192,9 +191,6 @@ func (f *Flow) Goodput() float64 { return f.rate * f.eff }
 
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
-
-// StartedAt returns the virtual time StartFlow was called.
-func (f *Flow) StartedAt() sim.Time { return f.started }
 
 // FinishedAt returns the completion time; valid only once Done.
 func (f *Flow) FinishedAt() sim.Time { return f.finished }
@@ -368,7 +364,6 @@ func (n *Network) newFlow(sp FlowSpec) *Flow {
 		remaining:  sp.Size,
 		eff:        eff,
 		path:       sp.Path,
-		started:    n.eng.Now(),
 		onComplete: sp.OnComplete,
 		net:        n,
 		heapIdx:    -1,

@@ -38,7 +38,7 @@ func TestTrainSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race runtime")
 	}
-	cl, err := Start(trainBenchCfg(nil))
+	cl, err := Start(trainBenchCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTrainLockstepSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race runtime")
 	}
-	cl, err := Start(trainBenchCfg(nil))
+	cl, err := Start(trainBenchCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -497,9 +497,6 @@ func (cl *Cluster) recordExpertLoad() {
 	}
 }
 
-// ExpertLoadCounts returns the cumulative routed-token count per expert.
-func (cl *Cluster) ExpertLoadCounts() []int64 { return cl.load.Counts() }
-
 // Move is one planned expert handoff.
 type Move struct {
 	Expert, From, To int

@@ -810,21 +810,3 @@ func encodeMatrix(m *tensor.Matrix) []byte {
 	transport.PutFloat32s(buf[8:], m.Data)
 	return buf
 }
-
-// decodeMatrix reverses encodeMatrix. rows is bounded by the payload's
-// float count over cols before the two are multiplied, so a crafted
-// shape cannot wrap the size check.
-func decodeMatrix(buf []byte) (*tensor.Matrix, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("livecluster: matrix payload too short")
-	}
-	rows := int(binary.LittleEndian.Uint32(buf[0:4]))
-	cols := int(binary.LittleEndian.Uint32(buf[4:8]))
-	body := len(buf) - 8
-	if rows <= 0 || cols <= 0 || body%4 != 0 || rows > body/4/cols || rows*cols != body/4 {
-		return nil, fmt.Errorf("livecluster: bad matrix payload (%dx%d, %d bytes)", rows, cols, len(buf))
-	}
-	m := tensor.New(rows, cols)
-	transport.Float32s(m.Data, buf[8:])
-	return m, nil
-}

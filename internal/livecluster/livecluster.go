@@ -328,29 +328,17 @@ type machineStore struct {
 	replicas map[transport.ExpertID]*replicaEntry
 
 	// serveDelay (nanoseconds) injects compute slowness into the serving
-	// path; the deadline drills set it via Cluster.SetServeDelay.
+	// path; the deadline tests set it (export_test.go).
 	serveDelay atomic.Int64
-}
-
-func (s *machineStore) ExpertBytes(id transport.ExpertID) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.experts[id]
-	if !ok {
-		return nil, fmt.Errorf("livecluster: expert %v not hosted", id)
-	}
-	// Expert weights only change through install/remove/merge (which
-	// drop the memo), so repeated pulls of the same version reuse one
-	// encoding. Refcounted: the transport releases it after the copy to
-	// the wire.
-	return s.encRefLocked(id, e), nil
 }
 
 // encRefLocked returns the memoized serving encoding for a hosted
 // expert, encoding into a recycled buffer on a miss, and takes one
-// reference on it. Callers are the transport-facing serve paths only
-// (ExpertBytes, ExpertBytesAt) — the transport pairs each with exactly
-// one ReleaseExpertBytes once the bytes are on the wire.
+// reference on it. Its caller is the transport-facing serve path
+// (ExpertBytesAt): the transport pairs each with exactly one
+// ReleaseExpertBytes once the bytes are on the wire. Expert weights
+// only change through install/remove/merge (which drop the memo), so
+// repeated pulls of the same version reuse one encoding.
 func (s *machineStore) encRefLocked(id transport.ExpertID, e *moe.Expert) []byte {
 	ent := s.enc[id]
 	if ent == nil {
@@ -877,14 +865,6 @@ func (cl *Cluster) wireBytes() int64 {
 	var sum int64
 	for _, c := range cl.clients {
 		sum += c.Counters.Sent() + c.Counters.Received()
-	}
-	return sum
-}
-
-func (cl *Cluster) pullsServed() int64 {
-	var sum int64
-	for _, s := range cl.servers {
-		sum += s.PullsServed()
 	}
 	return sum
 }

@@ -282,18 +282,6 @@ func (cl *Cluster) ensureReplicaPlan() {
 	cl.viewMu.Unlock()
 }
 
-// ReplicaView returns a copy of the current replica plan
-// (expert -> ascending replica machines).
-func (cl *Cluster) ReplicaView() map[int][]int {
-	cl.viewMu.Lock()
-	defer cl.viewMu.Unlock()
-	out := make(map[int][]int, len(cl.replicas))
-	for e, set := range cl.replicas {
-		out[e] = append([]int(nil), set...)
-	}
-	return out
-}
-
 // replicateStep is the synchronous sync round, run at the step barrier
 // after every store merged to the step's version: each replicated
 // expert's owner streams its post-merge weights to every replica that

@@ -79,13 +79,6 @@ func (s *machineStore) ServeExpert(id transport.ExpertID, payload []byte) ([]byt
 	return out, err
 }
 
-// SetServeDelay injects a fixed compute delay into machine m's serving
-// path — the deadline-propagation drills use it to make server-side
-// budget expiry deterministic.
-func (cl *Cluster) SetServeDelay(m int, d time.Duration) {
-	cl.stores[m].serveDelay.Store(int64(d))
-}
-
 // ServeBackend adapts the cluster for a serving front-end. It owns a
 // dedicated transport client (the front-end is not one of the cluster's
 // machines) whose requests are epoch-stamped from the authoritative

@@ -2,6 +2,8 @@ package livecluster
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,7 +135,10 @@ func TestServeBudgetExpiresDuringCompute(t *testing.T) {
 	if err == nil {
 		t.Fatal("expired serve answered")
 	}
-	if !transport.IsServeExpired(err) {
+	// The expiry crosses the wire as a remote error carrying
+	// ErrServeExpired's message.
+	var re *transport.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, transport.ErrServeExpired.Error()) {
 		t.Fatalf("expiry surfaced as %v, want serve-expired", err)
 	}
 

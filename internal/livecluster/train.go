@@ -61,11 +61,6 @@ func encodeTrainGradInto(buf []byte, step uint64, source int, g *moe.ExpertGrad)
 	return buf
 }
 
-// encodeTrainGrad is the allocating variant (cold paths and tests).
-func encodeTrainGrad(step uint64, source int, g *moe.ExpertGrad) []byte {
-	return encodeTrainGradInto(nil, step, source, g)
-}
-
 // parseTrainGradHeader validates a training gradient payload for hidden
 // size h and returns its header fields without decoding the floats.
 func parseTrainGradHeader(payload []byte, h int) (step uint64, source int, err error) {
@@ -87,20 +82,6 @@ func parseTrainGradHeader(payload []byte, h int) (step uint64, source int, err e
 func decodeTrainGradInto(g *moe.ExpertGrad, payload []byte) {
 	transport.Float32s(g.DW1.Data, payload[trainGradHeaderBytes:])
 	transport.Float32s(g.DW2.Data, payload[trainGradHeaderBytes+4*len(g.DW1.Data):])
-}
-
-// decodeTrainGrad parses a training gradient payload for hidden size h,
-// copying the floats out (the transport recycles the payload buffer
-// after the store call returns). Allocating variant for cold paths and
-// the fuzz round-trip; the hot wire path decodes into a pooled grad.
-func decodeTrainGrad(payload []byte, h int) (step uint64, source int, g *moe.ExpertGrad, err error) {
-	step, source, err = parseTrainGradHeader(payload, h)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	g = moe.NewExpertGrad(h)
-	decodeTrainGradInto(g, payload)
-	return step, source, g, nil
 }
 
 // foldGrads sums the non-nil gradients of parts in slice order, clearing
@@ -696,12 +677,4 @@ func (cl *Cluster) TrainSteps() int {
 		return 0
 	}
 	return cl.train.steps
-}
-
-// PipelineStats returns the cumulative pipeline counters.
-func (cl *Cluster) PipelineStats() metrics.PipelineSnapshot {
-	if cl.train == nil {
-		return metrics.PipelineSnapshot{}
-	}
-	return cl.train.pipe.Snapshot()
 }

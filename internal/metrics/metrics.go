@@ -1,12 +1,10 @@
-// Package metrics aggregates simulation measurements: traffic by link
-// class, distribution summaries, and the speedup tables the paper's
-// figures report.
+// Package metrics aggregates measurements: traffic by link class,
+// distribution summaries, and the live plane's counters.
 package metrics
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"janus/internal/fabric"
@@ -52,39 +50,6 @@ func Summarize(xs []float64) Summary {
 		P50: q(0.50), P90: q(0.90), P99: q(0.99),
 		Sum: sum,
 	}
-}
-
-// SpeedupRow is one line of a figure-style comparison.
-type SpeedupRow struct {
-	Name     string
-	Baseline float64 // e.g. Tutel iteration seconds
-	Value    float64 // e.g. Janus iteration seconds
-}
-
-// Speedup returns Baseline/Value (higher is better for the new system).
-func (r SpeedupRow) Speedup() float64 {
-	if r.Value == 0 {
-		return 0
-	}
-	return r.Baseline / r.Value
-}
-
-// FormatSpeedupTable renders rows as an aligned ASCII table.
-func FormatSpeedupTable(title string, rows []SpeedupRow, baselineLabel, valueLabel string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	w := len("config")
-	for _, r := range rows {
-		if len(r.Name) > w {
-			w = len(r.Name)
-		}
-	}
-	fmt.Fprintf(&b, "%-*s  %12s  %12s  %8s\n", w, "config", baselineLabel, valueLabel, "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-*s  %10.1fms  %10.1fms  %7.2fx\n",
-			w, r.Name, r.Baseline*1e3, r.Value*1e3, r.Speedup())
-	}
-	return b.String()
 }
 
 // Robustness counts fault-tolerance events on a live transport path:
@@ -148,14 +113,8 @@ func (r *Robustness) AddTimeout() { r.timeouts.Add(1) }
 // AddReconnect records one re-dial of a previously connected peer.
 func (r *Robustness) AddReconnect() { r.reconnects.Add(1) }
 
-// AddGradDup records one deduplicated gradient retransmit.
-func (r *Robustness) AddGradDup() { r.gradDups.Add(1) }
-
 // AddStaleServe records one expert served from a stale local cache.
 func (r *Robustness) AddStaleServe() { r.staleServes.Add(1) }
-
-// AddDegradedStep records one iteration completed in degraded mode.
-func (r *Robustness) AddDegradedStep() { r.degradedSteps.Add(1) }
 
 // AddFailover records one machine declared permanently dead and its
 // experts re-homed.
@@ -175,10 +134,6 @@ func (r *Robustness) AddCheckpoint(bytes int64, elapsedNanos int64) {
 	r.checkpointBytes.Add(bytes)
 	r.checkpointNanos.Add(elapsedNanos)
 }
-
-// AddFenceRejection records one request rejected because its sender's
-// membership epoch was stale.
-func (r *Robustness) AddFenceRejection() { r.fenceRejections.Add(1) }
 
 // AddQuorumStall records one heartbeat round in which a machine could
 // not reach a majority and froze its membership transitions.
@@ -385,9 +340,6 @@ type Pipeline struct {
 	depthShrinks     atomic.Int64
 }
 
-// AddMicrobatch records one executed (worker, microbatch) piece.
-func (p *Pipeline) AddMicrobatch() { p.microbatches.Add(1) }
-
 // AddMicrobatches records n executed pieces at once. The trainer batches
 // its per-piece counts into one add per (machine, step) so the hot loop
 // does not contend on this cache line once per microbatch.
@@ -512,18 +464,6 @@ func (l *ExpertLoad) Counts() []int64 {
 		out[i] = l.counts[i].Load()
 	}
 	return out
-}
-
-// Total returns the sum over all experts.
-func (l *ExpertLoad) Total() int64 {
-	var sum int64
-	if l == nil {
-		return 0
-	}
-	for i := range l.counts {
-		sum += l.counts[i].Load()
-	}
-	return sum
 }
 
 // GiB converts bytes to binary gigabytes (the unit of Table 1).

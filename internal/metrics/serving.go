@@ -21,23 +21,6 @@ const (
 // ServingRungs is the number of ladder rungs.
 const ServingRungs = 5
 
-// RungName returns the short human label of a ladder rung.
-func RungName(r int) string {
-	switch r {
-	case RungFull:
-		return "full"
-	case RungReplica:
-		return "replica"
-	case RungStale:
-		return "stale"
-	case RungTop1:
-		return "top1"
-	case RungShed:
-		return "shed"
-	}
-	return fmt.Sprintf("rung%d", r)
-}
-
 // servingShards spreads the per-request counters across cache lines,
 // the same treatment the transport's wire counters get: every request
 // on every front-end worker bumps these, so a single atomic set would

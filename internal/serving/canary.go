@@ -74,23 +74,6 @@ func (f *Frontend) StartCanary(c Canary) error {
 	return nil
 }
 
-// CanaryVersion reports the live candidate's model version, if any.
-func (f *Frontend) CanaryVersion() (int, bool) {
-	if st := f.canary.Load(); st != nil {
-		return st.cfg.Version, true
-	}
-	return 0, false
-}
-
-// RollbackCanary fences off the live rollout (no-op when none is
-// running or st is no longer current). Automatic rollback and the
-// operator path share it.
-func (f *Frontend) RollbackCanary() {
-	if st := f.canary.Load(); st != nil {
-		f.rollbackCanary(f.admitH, st)
-	}
-}
-
 func (f *Frontend) rollbackCanary(h *metrics.ServingHandle, st *canaryState) {
 	// The CAS makes rollback idempotent per generation: only the caller
 	// that actually unseats the plane advances the fence and counts.

@@ -156,7 +156,7 @@ func TestCanaryFenceDiscardsInFlightAnswer(t *testing.T) {
 		t.Fatalf("fenced request not re-answered: %v", res.Err)
 	}
 	if res.Rung != metrics.RungStale {
-		t.Fatalf("fenced fallback rung = %s, want stale", metrics.RungName(res.Rung))
+		t.Fatalf("fenced fallback rung = %d, want %d (stale)", res.Rung, metrics.RungStale)
 	}
 	want, err := Reference(b.plane(), f.sampler, cfg.Seed, reqID, cfg.RowsPerRequest, b.h, false)
 	if err != nil {

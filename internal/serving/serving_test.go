@@ -29,9 +29,13 @@ type fakeBackend struct {
 	replicaUp  map[int]bool
 	slow       map[string]bool
 	ownerDelay time.Duration
-	ownerErr   error
-	ownerProv  byte
-	fetchErr   error
+	// ownerHold, if set, parks every owner-side call until it is
+	// closed; ownerEntered then receives once a call has parked.
+	ownerHold    chan struct{}
+	ownerEntered chan struct{}
+	ownerErr     error
+	ownerProv    byte
+	fetchErr     error
 }
 
 func newFakeBackend(n, h int, seed int64) *fakeBackend {
@@ -100,8 +104,20 @@ func (b *fakeBackend) Serve(ctx context.Context, addr string, e int, payload []b
 	b.mu.Lock()
 	ex := b.experts[e]
 	delay, oerr, prov := b.ownerDelay, b.ownerErr, b.ownerProv
+	hold, entered := b.ownerHold, b.ownerEntered
 	b.mu.Unlock()
 	if strings.HasPrefix(addr, "owner:") {
+		if hold != nil {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			select {
+			case <-hold:
+			case <-ctx.Done():
+				return 0, nil, ctx.Err()
+			}
+		}
 		if delay > 0 {
 			select {
 			case <-time.After(delay):
@@ -256,13 +272,13 @@ func TestLadderTransitions(t *testing.T) {
 			d := f.Stats().Sub(before)
 
 			if res.Rung != tc.wantRung && tc.wantErr == nil {
-				t.Fatalf("rung = %s, want %s", metrics.RungName(res.Rung), metrics.RungName(tc.wantRung))
+				t.Fatalf("rung = %d, want %d", res.Rung, tc.wantRung)
 			}
 			if !errors.Is(res.Err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", res.Err, tc.wantErr)
 			}
 			if d.Answered[tc.wantRung] != 1 {
-				t.Fatalf("rung counter delta = %+v, want %s=1", d, metrics.RungName(tc.wantRung))
+				t.Fatalf("rung counter delta = %+v, want rung %d = 1", d, tc.wantRung)
 			}
 			if tc.wantErr != nil {
 				if d.Shed != 1 || res.Out != nil {
@@ -371,7 +387,9 @@ func TestAdmissionSheds(t *testing.T) {
 
 	t.Run("queue full", func(t *testing.T) {
 		b := newFakeBackend(4, 8, 6)
-		b.ownerDelay = 50 * time.Millisecond // pin the worker on req 1
+		// Pin the worker on req 1 until req 3 has been submitted.
+		b.ownerHold = make(chan struct{})
+		b.ownerEntered = make(chan struct{}, 1)
 		cfg := testConfig(b)
 		cfg.QueueCap = 1
 		cfg.MaxBatch = 1
@@ -384,17 +402,15 @@ func TestAdmissionSheds(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); f.Submit(context.Background(), 1) }()
-		// Wait until the worker owns req 1 (queue drained), then fill
-		// the queue with req 2 and overflow with req 3.
-		deadline := time.Now().Add(time.Second)
-		for len(f.queue) != 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		// The worker owns req 1 (queue drained) once its owner call has
+		// parked. Then fill the queue with req 2 and overflow with req 3.
+		<-b.ownerEntered
 		go func() { defer wg.Done(); f.Submit(context.Background(), 2) }()
-		for len(f.queue) != 1 && time.Now().Before(deadline) {
+		for len(f.queue) != 1 {
 			time.Sleep(time.Millisecond)
 		}
 		res := f.Submit(context.Background(), 3)
+		close(b.ownerHold)
 		wg.Wait()
 		if !errors.Is(res.Err, ErrShed) {
 			t.Fatalf("overflow submit = %+v, want shed", res)
@@ -454,7 +470,7 @@ func TestHedgedReadBeatsSlowOwner(t *testing.T) {
 		t.Fatalf("hedged answer took %v, owner delay not bypassed", el)
 	}
 	if res.Rung != metrics.RungReplica {
-		t.Fatalf("hedged answer rung = %s, want replica", metrics.RungName(res.Rung))
+		t.Fatalf("hedged answer rung = %d, want %d (replica)", res.Rung, metrics.RungReplica)
 	}
 	if s := f.Stats(); s.Hedged == 0 {
 		t.Fatalf("hedge not counted: %v", s)

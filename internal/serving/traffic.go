@@ -36,7 +36,7 @@ type Traffic struct {
 func (tr Traffic) Rate(tick int) float64 {
 	r := tr.BaseRate
 	if tr.DiurnalAmp > 0 && tr.DiurnalPeriod > 0 {
-		r *= 1 + tr.DiurnalAmp*math.Sin(2*math.Pi*float64(tick)/float64(tr.DiurnalPeriod))
+		r *= 1 + float64(tr.DiurnalAmp*math.Sin(2*math.Pi*float64(tick)/float64(tr.DiurnalPeriod)))
 	}
 	if tr.Injector != nil {
 		r *= tr.Injector.RateMultiplier(tr.Label)

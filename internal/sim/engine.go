@@ -51,9 +51,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return e.queue.Len() }
-
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.stepped }
 

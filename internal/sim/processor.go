@@ -35,12 +35,6 @@ func (p *Processor) Name() string { return p.name }
 // BusySeconds returns the cumulative time spent executing work.
 func (p *Processor) BusySeconds() float64 { return p.busyAcc }
 
-// QueueLen returns the number of queued (not yet started) items.
-func (p *Processor) QueueLen() int { return len(p.queue) }
-
-// Busy reports whether the processor is currently executing an item.
-func (p *Processor) Busy() bool { return p.busy }
-
 // Submit enqueues a work item of the given duration. onDone (may be nil)
 // fires when the item completes. Zero-duration items are legal and
 // complete via a zero-delay event, preserving FIFO ordering.

@@ -33,15 +33,32 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		funcs []string
 		all   bool
 	}{
-		// The matmul kernels, their fold helper and the serial references.
+		// The matmul kernels, their fold helper, the serial references,
+		// GeLU and the seeded initial weights, in every function.
 		{"janus/internal/tensor", []string{
 			"matMulRowsBlocked", "matMulTransARowsBlocked", "matMulTransBRowsBlocked",
 			"(*foldGroup).fold",
 			"matMulSerial", "matMulTransASerial", "matMulTransBSerial",
-		}, false},
+			"gelu", "geluPrime", "NewRandom", "(*Matrix).AddScaledRow",
+		}, true},
 		// The fluid model's anchored accounting, in every function.
 		{"janus/internal/fabric", []string{
 			"(*Network).settle", "(*Flow).Remaining", "(*Link).CarriedBytes", "(*Link).BusySeconds",
+		}, true},
+		// The live plane: the SGD step and the reference layer, the
+		// trainer's merge and forward/backward piece, the transport's
+		// peer scores and backoff, and the serving traffic model.
+		{"janus/internal/moe", []string{
+			"(*Expert).ApplySGD", "(*Layer).ForwardBackwardExpertCentric",
+		}, true},
+		{"janus/internal/livecluster", []string{
+			"(*machineStore).applyMergeLocked", "(*stepRun).computePiece",
+		}, true},
+		{"janus/internal/transport", []string{
+			"(*Client).noteAttempt", "(*Client).sleepBackoff",
+		}, true},
+		{"janus/internal/serving", []string{
+			"Traffic.Rate",
 		}, true},
 	}
 	fused := regexp.MustCompile(`\tFN?M(ADD|SUB)[SD]\t`)

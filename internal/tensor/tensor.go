@@ -40,7 +40,9 @@ func NewRandom(rows, cols int, scale float64, seed int64) *Matrix {
 	m := New(rows, cols)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range m.Data {
-		m.Data[i] = float32((rng.Float64()*2 - 1) * scale)
+		// Float64 scales its draw by a product that arm64 would fuse
+		// with the sum; the inner conversion rounds it.
+		m.Data[i] = float32((float64(float64(rng.Float64())*2) - 1) * scale)
 	}
 	return m
 }
@@ -99,7 +101,7 @@ func (m *Matrix) AddScaledRow(dst int, src []float32, scale float32) {
 		panic("tensor: AddScaledRow length mismatch")
 	}
 	for i := range row {
-		row[i] += scale * src[i]
+		row[i] = float32(scale*src[i]) + row[i]
 	}
 }
 
@@ -246,16 +248,8 @@ func matMulTransBSerial(a, b *Matrix) *Matrix {
 	return out
 }
 
-// GeLU applies the tanh-approximation GeLU element-wise, returning a new
-// matrix.
-func GeLU(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	GeLUInto(m, out)
-	return out
-}
-
-// GeLUInto applies GeLU element-wise into out, overwriting every
-// element (out need not be zeroed).
+// GeLUInto applies the tanh-approximation GeLU element-wise into out,
+// overwriting every element (out need not be zeroed).
 func GeLUInto(m, out *Matrix) {
 	if m.Rows != out.Rows || m.Cols != out.Cols {
 		panic("tensor: GeLUInto shape mismatch")
@@ -265,15 +259,8 @@ func GeLUInto(m, out *Matrix) {
 	}
 }
 
-// GeLUGrad returns dx given pre-activation x and upstream gradient dy:
-// dx = dy ⊙ gelu'(x).
-func GeLUGrad(x, dy *Matrix) *Matrix {
-	out := New(x.Rows, x.Cols)
-	GeLUGradInto(x, dy, out)
-	return out
-}
-
-// GeLUGradInto computes dy ⊙ gelu'(x) into out, overwriting every
+// GeLUGradInto computes dx = dy ⊙ gelu'(x) into out, given
+// pre-activation x and upstream gradient dy, overwriting every
 // element (out need not be zeroed).
 func GeLUGradInto(x, dy, out *Matrix) {
 	if x.Rows != dy.Rows || x.Cols != dy.Cols || x.Rows != out.Rows || x.Cols != out.Cols {
@@ -291,16 +278,16 @@ const (
 
 func gelu(x float32) float32 {
 	xf := float64(x)
-	inner := sqrt2OverPi * (xf + geluC*xf*xf*xf)
+	inner := sqrt2OverPi * (xf + float64(geluC*xf*xf*xf))
 	return float32(0.5 * xf * (1 + math.Tanh(inner)))
 }
 
 func geluPrime(x float32) float32 {
 	xf := float64(x)
-	inner := sqrt2OverPi * (xf + geluC*xf*xf*xf)
+	inner := sqrt2OverPi * (xf + float64(geluC*xf*xf*xf))
 	t := math.Tanh(inner)
-	dInner := sqrt2OverPi * (1 + 3*geluC*xf*xf)
-	return float32(0.5*(1+t) + 0.5*xf*(1-t*t)*dInner)
+	dInner := sqrt2OverPi * (1 + float64(3*geluC*xf*xf))
+	return float32(float64(0.5*(1+t)) + float64(0.5*xf*(1-float64(t*t))*dInner))
 }
 
 // SoftmaxRows applies a numerically-stable softmax to each row,

@@ -95,7 +95,8 @@ func TestRowPartitionInvarianceProperty(t *testing.T) {
 func TestGeLUValues(t *testing.T) {
 	m := New(1, 3)
 	copy(m.Data, []float32{-2, 0, 2})
-	g := GeLU(m)
+	g := New(1, 3)
+	GeLUInto(m, g)
 	if g.Data[1] != 0 {
 		t.Fatalf("gelu(0) = %v, want 0", g.Data[1])
 	}
@@ -107,7 +108,7 @@ func TestGeLUValues(t *testing.T) {
 	}
 }
 
-// Property: GeLUGrad matches a numeric derivative.
+// Property: GeLUGradInto matches a numeric derivative.
 func TestGeLUGradNumericProperty(t *testing.T) {
 	prop := func(x100 int8) bool {
 		x := float32(x100) / 25 // range [-5.12, 5.08]
@@ -115,7 +116,9 @@ func TestGeLUGradNumericProperty(t *testing.T) {
 		m.Data[0] = x
 		dy := New(1, 1)
 		dy.Data[0] = 1
-		analytic := float64(GeLUGrad(m, dy).Data[0])
+		dx := New(1, 1)
+		GeLUGradInto(m, dy, dx)
+		analytic := float64(dx.Data[0])
 		const h = 1e-3
 		numeric := (float64(gelu(x+h)) - float64(gelu(x-h))) / (2 * h)
 		return math.Abs(analytic-numeric) < 1e-2

@@ -357,18 +357,6 @@ func (c *Cluster) PathCPUToRemoteGPU(src *Machine, viaNIC int, dst *GPU) []*fabr
 	}
 }
 
-// InterNodeLinks returns all NIC links, the resources whose carried
-// bytes define "cross-machine traffic" in the paper's Table 1 metric.
-func (c *Cluster) InterNodeLinks() []*fabric.Link {
-	var out []*fabric.Link
-	for _, m := range c.Machines {
-		for _, sw := range m.Switches {
-			out = append(out, sw.NICOut, sw.NICIn)
-		}
-	}
-	return out
-}
-
 // InterNodeEgressBytes returns total bytes sent out of all machines'
 // NICs (one direction only, so a transfer is not double-counted).
 func (c *Cluster) InterNodeEgressBytes() float64 {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"janus/internal/fabric"
 )
 
 func TestDefaultSpecValid(t *testing.T) {
@@ -156,7 +158,13 @@ func TestGradientPushPath(t *testing.T) {
 func TestInterNodeLinksCount(t *testing.T) {
 	c, _ := New(DefaultSpec(4))
 	// 4 machines × 4 NICs × 2 directions.
-	if got := len(c.InterNodeLinks()); got != 32 {
+	links := map[*fabric.Link]bool{}
+	for _, m := range c.Machines {
+		for _, sw := range m.Switches {
+			links[sw.NICOut], links[sw.NICIn] = true, true
+		}
+	}
+	if got := len(links); got != 32 {
 		t.Fatalf("inter-node links = %d, want 32", got)
 	}
 }

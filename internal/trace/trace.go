@@ -86,17 +86,6 @@ func (t *Timeline) MarkAt(name string) (float64, bool) {
 	return at, found
 }
 
-// BusyOn returns the summed span durations on a resource.
-func (t *Timeline) BusyOn(resource string) float64 {
-	var sum float64
-	for _, s := range t.Spans {
-		if s.Resource == resource {
-			sum += s.Duration()
-		}
-	}
-	return sum
-}
-
 // End returns the latest span end or mark time.
 func (t *Timeline) End() float64 {
 	var end float64
@@ -150,19 +139,5 @@ func (t *Timeline) Gantt(resources []string, cols int) string {
 		fmt.Fprintf(&b, "%-*s |%s|\n", width, r, string(row))
 	}
 	fmt.Fprintf(&b, "%-*s  0%*s%.1fms\n", width, "", cols-6, "", end*1e3)
-	return b.String()
-}
-
-// CSV renders "resource,name,start,end" rows for all spans followed by
-// "mark,<name>,<at>," rows for all marks.
-func (t *Timeline) CSV() string {
-	var b strings.Builder
-	b.WriteString("resource,name,start,end\n")
-	for _, s := range t.Spans {
-		fmt.Fprintf(&b, "%s,%s,%.9f,%.9f\n", s.Resource, s.Name, s.Start, s.End)
-	}
-	for _, m := range t.Marks {
-		fmt.Fprintf(&b, "mark,%s,%.9f,\n", m.Name, m.At)
-	}
 	return b.String()
 }

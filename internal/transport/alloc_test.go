@@ -21,8 +21,6 @@ type allocStore struct {
 	grads   atomic.Int64
 }
 
-func (s *allocStore) ExpertBytes(id ExpertID) ([]byte, error) { return s.payload, nil }
-
 func (s *allocStore) ExpertBytesAt(id ExpertID, version uint64) ([]byte, error) {
 	return s.payload, nil
 }

@@ -3,13 +3,11 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"context"
-	"encoding/binary"
 	"io"
 	"testing"
 )
 
-// benchFrameStream serialises one frame and returns its wire bytes.
+// benchFrameBytes serialises one frame and returns its wire bytes.
 func benchFrameBytes(b *testing.B, f frame) []byte {
 	b.Helper()
 	var buf bytes.Buffer
@@ -57,86 +55,5 @@ func BenchmarkReadFrameHeaderOnly(b *testing.B) {
 		if _, err := readFrame(r); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPushGradientLoopback measures a full client→server gradient
-// round trip over TCP loopback, allocations included (frame pool on
-// both the server's GRAD read path and the client's ack read path).
-func BenchmarkPushGradientLoopback(b *testing.B) {
-	store := newMemStore()
-	id := ExpertID{Block: 1, Expert: 2}
-	store.experts[id] = []byte{1}
-	srv := NewServer(store)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c := NewClient(4)
-	defer c.Close()
-	payload := make([]byte, 64*1024)
-	ctx := context.Background()
-	if err := c.PushGradient(ctx, addr, id, payload); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.PushGradient(ctx, addr, id, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPullLoopback measures a full pull round trip over TCP
-// loopback. The expert payload escapes to the caller by contract, so
-// this path keeps one allocation per pull for the returned bytes.
-func BenchmarkPullLoopback(b *testing.B) {
-	store := newMemStore()
-	id := ExpertID{Block: 1, Expert: 2}
-	store.experts[id] = make([]byte, 64*1024)
-	srv := NewServer(store)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c := NewClient(4)
-	defer c.Close()
-	ctx := context.Background()
-	if _, err := c.Pull(ctx, addr, id); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(store.experts[id])))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Pull(ctx, addr, id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// sanity check for the benchmark fixtures: a grad frame round-trips.
-func TestBenchFixtureRoundTrip(t *testing.T) {
-	payload := make([]byte, gradTokenBytes+128)
-	binary.BigEndian.PutUint64(payload[0:8], 11)
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, frame{typ: msgGrad, reqID: 3, payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.typ != msgGrad || f.reqID != 3 || !bytes.Equal(f.payload, payload) {
-		t.Fatalf("frame mismatch: %+v", f)
-	}
-	f.recycle()
-	if f.payload != nil || f.buf != nil {
-		t.Fatal("recycle did not clear the frame")
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,10 +17,11 @@ import (
 )
 
 // Client issues pulls and gradient pushes to remote Servers. It keeps
-// one connection per peer address, pipelines requests over it, merges
-// concurrent pulls for the same expert into a single wire request
-// (the Cache-Manager single flight of §5.1.2), and bounds concurrent
-// in-flight pulls with a credit window (§5.1.1's credit-based buffer).
+// one connection per peer address, pipelines requests over it, and
+// bounds concurrent in-flight pulls with a credit window (§5.1.1's
+// credit-based buffer). The Cache-Manager single flight of §5.1.2 is
+// the caller's: the live trainer pulls each external expert once per
+// machine and step, so the client never sees two pulls to merge.
 //
 // Failure handling: every request attempt runs under a deadline, a
 // peer connection whose read loop failed is evicted and re-dialed on
@@ -38,11 +40,10 @@ type Client struct {
 	backoffBase time.Duration
 	backoffMax  time.Duration
 
-	mu       sync.Mutex
-	peers    map[string]*peerConn
-	known    map[string]bool // addrs successfully dialed at least once
-	inflight map[pullKey]*pullCall
-	closed   bool
+	mu     sync.Mutex
+	peers  map[string]*peerConn
+	known  map[string]bool // addrs successfully dialed at least once
+	closed bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -60,12 +61,6 @@ type Client struct {
 	slowAfter time.Duration
 	scoreMu   sync.Mutex
 	scores    map[string]*peerScore
-
-	// Multiplexed in-flight accounting: how many pulls and gradient
-	// pushes currently hold the wire (across all peers), so the pipeline
-	// can observe how deep its overlap actually runs.
-	inflightPulls atomic.Int64
-	inflightGrads atomic.Int64
 
 	Counters Counters
 	// Robust counts retries, per-attempt timeouts and reconnects.
@@ -148,9 +143,6 @@ const (
 	DefaultBackoffMax     = 2 * time.Second
 )
 
-// clientSeq disambiguates gradient tokens between clients in-process.
-var clientSeq atomic.Uint64
-
 // timerPool recycles the per-attempt deadline timers so the steady-state
 // request path does not allocate a timer (or a context) per attempt.
 var timerPool sync.Pool
@@ -183,12 +175,6 @@ func putTimer(t *time.Timer) {
 // reused.
 var respChPool = sync.Pool{New: func() any { return make(chan frame, 1) }}
 
-// NewClient returns a client with the given credit count (<=0 means
-// DefaultCredits) and default failure handling.
-func NewClient(credits int) *Client {
-	return NewClientOptions(Options{Credits: credits})
-}
-
 // NewClientOptions returns a client configured by opts.
 func NewClientOptions(opts Options) *Client {
 	if opts.Credits <= 0 {
@@ -216,9 +202,8 @@ func NewClientOptions(opts Options) *Client {
 		backoffMax:  opts.BackoffMax,
 		peers:       make(map[string]*peerConn),
 		known:       make(map[string]bool),
-		inflight:    make(map[pullKey]*pullCall),
 		rng:         rand.New(rand.NewSource(opts.Seed)),
-		clientID:    clientSeq.Add(1),
+		clientID:    newClientID(),
 		machineID:   opts.MachineID,
 		slowAfter:   opts.SlowAfter,
 		scores:      make(map[string]*peerScore),
@@ -232,6 +217,20 @@ func NewClientOptions(opts Options) *Client {
 		}
 	}
 	return c
+}
+
+// newClientID draws the id that prefixes every gradient token. It is
+// random rather than counted so that clients in different processes
+// pushing to one server never share a token: a shared token would be
+// acked with the other push's outcome and never applied.
+func newClientID() uint64 {
+	var b [8]byte
+	// Since Go 1.24 crypto/rand.Read never returns an error (it aborts
+	// the program instead); the check covers older toolchains.
+	if _, err := crand.Read(b[:]); err != nil {
+		panic("transport: reading a client id: " + err.Error())
+	}
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // SetEpoch installs the membership epoch stamped into every
@@ -278,12 +277,12 @@ func (c *Client) noteAttempt(addr string, d time.Duration, failed bool) {
 		}
 		return
 	}
-	s.loss = (1-scoreAlpha)*s.loss + scoreAlpha*fail
+	s.loss = float64((1-scoreAlpha)*s.loss) + float64(scoreAlpha*fail)
 	if !failed {
 		if s.lat == 0 {
 			s.lat = float64(d)
 		} else {
-			s.lat = (1-scoreAlpha)*s.lat + scoreAlpha*float64(d)
+			s.lat = float64((1-scoreAlpha)*s.lat) + float64(scoreAlpha*float64(d))
 		}
 	}
 }
@@ -302,33 +301,6 @@ func (c *Client) PeerSlow(addr string) bool {
 		return false
 	}
 	return s.lat > float64(c.slowAfter) || s.loss > 0.5
-}
-
-// PeerLatencyEWMA returns addr's smoothed request latency (0 if the
-// peer has no successful samples yet or scoring is disabled).
-func (c *Client) PeerLatencyEWMA(addr string) time.Duration {
-	c.scoreMu.Lock()
-	defer c.scoreMu.Unlock()
-	if s := c.scores[addr]; s != nil {
-		return time.Duration(s.lat)
-	}
-	return 0
-}
-
-type pullKey struct {
-	addr string
-	id   ExpertID
-	// versioned pulls single-flight per requested version: a pull of
-	// version v and one of v+1 are different requests and must not be
-	// merged, while the unversioned key keeps its PR 3 behaviour.
-	ver       uint64
-	versioned bool
-}
-
-type pullCall struct {
-	done    chan struct{}
-	payload []byte
-	err     error
 }
 
 // peerConn is one pipelined connection: a writer lock for request
@@ -649,7 +621,7 @@ func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
 		d = c.backoffMax
 	}
 	c.rngMu.Lock()
-	jitter := 0.5 + c.rng.Float64()
+	jitter := 0.5 + float64(c.rng.Float64())
 	c.rngMu.Unlock()
 	d = time.Duration(float64(d) * jitter)
 	t := time.NewTimer(d)
@@ -664,107 +636,16 @@ func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// Pull fetches an expert's bytes from addr. Concurrent pulls of the
-// same (addr, expert) share a single wire request; every pull consumes
-// one credit while its wire request is outstanding. Transient failures
-// are retried up to the attempt budget; ctx bounds the whole call.
-func (c *Client) Pull(ctx context.Context, addr string, id ExpertID) ([]byte, error) {
-	return c.pull(ctx, addr, pullKey{addr: addr, id: id})
-}
-
-// PullVersion fetches an expert's bytes at exactly the given version.
-// The server parks the request until the owner publishes that version
-// (see VersionedStore), which both guarantees the pipelined trainer
-// reads the step's exact weights and provides natural backpressure on
-// cross-step prefetching. Single flight is per (addr, expert, version).
-func (c *Client) PullVersion(ctx context.Context, addr string, id ExpertID, version uint64) ([]byte, error) {
-	return c.pull(ctx, addr, pullKey{addr: addr, id: id, ver: version, versioned: true})
-}
-
-// InflightPulls returns how many pulls currently hold the wire.
-func (c *Client) InflightPulls() int64 { return c.inflightPulls.Load() }
-
-// InflightGrads returns how many gradient pushes currently hold the
-// wire.
-func (c *Client) InflightGrads() int64 { return c.inflightGrads.Load() }
-
-func (c *Client) pull(ctx context.Context, addr string, key pullKey) ([]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.payload, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &pullCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
-	// Acquire a credit, failing fast if the client closes or the
-	// caller gives up while blocked (satellite fix: Close used to
-	// deadlock callers parked here with credits exhausted).
-	select {
-	case <-c.credits:
-		call.payload, call.err = c.pullWire(ctx, addr, key)
-		c.credits <- struct{}{}
-	case <-c.closedCh:
-		call.err = ErrClosed
-	case <-ctx.Done():
-		call.err = ctx.Err()
-	}
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(call.done)
-	return call.payload, call.err
-}
-
-func (c *Client) pullWire(ctx context.Context, addr string, key pullKey) ([]byte, error) {
-	req := frame{typ: msgPull, id: key.id}
-	var verBuf *[]byte
-	if key.versioned {
-		// Pooled payload: do() copies it into the connection buffer
-		// synchronously per attempt, so it is dead once do() returns.
-		verBuf = getFrameBuf(versionedPullBytes)
-		binary.BigEndian.PutUint64(*verBuf, key.ver)
-		req = frame{typ: msgPullV, id: key.id, payload: *verBuf}
-	}
-	c.inflightPulls.Add(1)
-	resp, err := c.do(ctx, addr, req)
-	c.inflightPulls.Add(-1)
-	if verBuf != nil {
-		frameBufPool.Put(verBuf)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if resp.typ != msgExpert {
-		resp.recycle()
-		return nil, fmt.Errorf("transport: unexpected response type %#x", resp.typ)
-	}
-	return resp.payload, nil
-}
-
 // PullVersionInto fetches an expert's bytes at exactly the given
 // version, appending the payload into dst (grown as needed) and
 // recycling the transport receive buffer before returning, so the
 // steady-state pipelined trainer's version pulls allocate nothing once
-// dst has warmed to the expert's encoded size. Unlike PullVersion it
-// does not single-flight: the pipelined trainer already dedups its own
-// fetches, and consecutive steps pull distinct versions, so the merge
-// window never materialises — the single-flight map insert/delete would
-// be pure overhead on the hot path. Credits are still consumed.
+// dst has warmed to the expert's encoded size. The server parks the
+// request until the owner publishes that version (see VersionedStore),
+// which guarantees the pipelined trainer reads the step's exact weights
+// and back-pressures cross-step prefetching. Each call consumes one
+// credit while its wire request is outstanding; transient failures are
+// retried up to the attempt budget, and ctx bounds the whole call.
 func (c *Client) PullVersionInto(ctx context.Context, addr string, id ExpertID, version uint64, dst []byte) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -780,9 +661,7 @@ func (c *Client) PullVersionInto(ctx context.Context, addr string, id ExpertID, 
 	verBuf := getFrameBuf(versionedPullBytes)
 	binary.BigEndian.PutUint64(*verBuf, version)
 	req := frame{typ: msgPullV, id: id, payload: *verBuf}
-	c.inflightPulls.Add(1)
 	resp, err := c.do(ctx, addr, req)
-	c.inflightPulls.Add(-1)
 	frameBufPool.Put(verBuf)
 	if err != nil {
 		return nil, err
@@ -813,9 +692,7 @@ func (c *Client) PushGradient(ctx context.Context, addr string, id ExpertID, pay
 	binary.BigEndian.PutUint64(buf[0:8], c.clientID)
 	binary.BigEndian.PutUint64(buf[8:16], c.gradSeq.Add(1))
 	copy(buf[gradTokenBytes:], payload)
-	c.inflightGrads.Add(1)
 	resp, err := c.do(ctx, addr, frame{typ: msgGrad, id: id, payload: buf})
-	c.inflightGrads.Add(-1)
 	frameBufPool.Put(bp)
 	if err != nil {
 		return err

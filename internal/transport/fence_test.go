@@ -32,7 +32,7 @@ func TestEpochFencingOnWire(t *testing.T) {
 	c.SetEpoch(4) // one behind the server
 
 	var fe *FencedEpochError
-	if _, err := c.Pull(ctx, addr, id); !errors.As(err, &fe) {
+	if _, err := pull(ctx, c, addr, id); !errors.As(err, &fe) {
 		t.Fatalf("stale-epoch pull error = %v, want FencedEpochError", err)
 	} else if !errors.Is(err, ErrFencedEpoch) {
 		t.Fatalf("FencedEpochError does not unwrap to ErrFencedEpoch: %v", err)
@@ -72,7 +72,7 @@ func TestEpochFencingOnWire(t *testing.T) {
 
 	// Adopting the server's epoch unfences the same connection.
 	c.SetEpoch(5)
-	payload, err := c.Pull(ctx, addr, id)
+	payload, err := pull(ctx, c, addr, id)
 	if err != nil {
 		t.Fatalf("current-epoch pull after fence: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestEpochFencingOnWire(t *testing.T) {
 	// An ungated server keeps accepting any epoch (plain deployments).
 	srv2, addr2 := startServer(t, store)
 	c.SetEpoch(0)
-	if _, err := c.Pull(ctx, addr2, id); err != nil {
+	if _, err := pull(ctx, c, addr2, id); err != nil {
 		t.Fatalf("ungated server rejected epoch 0: %v", err)
 	}
 	if srv2.FencedRequests() != 0 {
@@ -105,7 +105,7 @@ func TestPeerScoringFlagsSlowAndLossyPeers(t *testing.T) {
 	if c.PeerSlow(addr) {
 		t.Fatal("peer flagged slow before any observation")
 	}
-	if _, err := c.Pull(ctx, addr, id); err != nil {
+	if _, err := pull(ctx, c, addr, id); err != nil {
 		t.Fatal(err)
 	}
 	if !c.PeerSlow(addr) {
@@ -118,7 +118,7 @@ func TestPeerScoringFlagsSlowAndLossyPeers(t *testing.T) {
 	// A generous bound keeps a healthy peer unflagged.
 	c2 := NewClientOptions(Options{Credits: 2, RequestTimeout: time.Second, SlowAfter: time.Hour})
 	defer c2.Close()
-	if _, err := c2.Pull(ctx, addr, id); err != nil {
+	if _, err := pull(ctx, c2, addr, id); err != nil {
 		t.Fatal(err)
 	}
 	if c2.PeerSlow(addr) {
@@ -138,7 +138,7 @@ func TestPeerScoringFlagsSlowAndLossyPeers(t *testing.T) {
 	// Scoring disabled (SlowAfter zero): never flagged.
 	c3 := NewClientOptions(Options{Credits: 2, RequestTimeout: time.Second})
 	defer c3.Close()
-	if _, err := c3.Pull(ctx, addr, id); err != nil {
+	if _, err := pull(ctx, c3, addr, id); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {

@@ -22,7 +22,8 @@ func frameBytes(f frame) []byte {
 // byte-identically.
 func FuzzReadFrame(f *testing.F) {
 	valid := []frame{
-		{typ: msgPull, reqID: 1, epoch: 7, sender: 2, id: ExpertID{Block: 1, Expert: 9}},
+		{typ: msgPullV, reqID: 1, epoch: 7, sender: 2, id: ExpertID{Block: 1, Expert: 9},
+			payload: []byte{0, 0, 0, 0, 0, 0, 0, 4}},
 		{typ: msgGrad, reqID: 2, epoch: 0, sender: 0, id: ExpertID{Expert: 3},
 			payload: bytes.Repeat([]byte{0xAB}, gradTokenBytes+4)},
 		{typ: msgPong, reqID: 3, epoch: 42, payload: []byte{pongFlagReadmitted}},
@@ -80,7 +81,7 @@ func FuzzReadFrame(f *testing.F) {
 // matches the writer (a drifting header would silently corrupt every
 // frame, and the fuzzer's round-trip property depends on it).
 func TestFrameHeaderConstantMatchesWriter(t *testing.T) {
-	b := frameBytes(frame{typ: msgPull})
+	b := frameBytes(frame{typ: msgPing})
 	if len(b) != 4+frameHeaderBytes {
 		t.Fatalf("header-only frame is %d bytes, want %d", len(b), 4+frameHeaderBytes)
 	}

@@ -147,7 +147,7 @@ func TestJoinBypassesEpochFence(t *testing.T) {
 		t.Fatalf("join was fenced: %v", err)
 	}
 	// A plain pull with the same stale epoch must still be fenced.
-	_, err := c.Pull(ctx, addr, ExpertID{Expert: 1})
+	_, err := pull(ctx, c, addr, ExpertID{Expert: 1})
 	if !errors.Is(err, ErrFencedEpoch) {
 		t.Fatalf("pull err = %v, want fenced", err)
 	}

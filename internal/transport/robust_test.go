@@ -45,7 +45,7 @@ func TestServerRestartBetweenPulls(t *testing.T) {
 	}
 	c := newFastClient(4, 4)
 	defer c.Close()
-	if _, err := c.Pull(ctx, addr, id); err != nil {
+	if _, err := pull(ctx, c, addr, id); err != nil {
 		t.Fatal(err)
 	}
 	srv1.Close()
@@ -55,7 +55,7 @@ func TestServerRestartBetweenPulls(t *testing.T) {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	defer srv2.Close()
-	got, err := c.Pull(ctx, addr, id)
+	got, err := pull(ctx, c, addr, id)
 	if err != nil {
 		t.Fatalf("pull after server restart: %v", err)
 	}
@@ -86,9 +86,8 @@ func TestCloseUnblocksCreditWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Distinct experts so the single flight doesn't merge them;
-			// all but one block on the exhausted credit window.
-			_, errs[i] = c.Pull(ctx, addr, ExpertID{Expert: uint32(i + 1)})
+			// All but one block on the exhausted credit window.
+			_, errs[i] = pull(ctx, c, addr, ExpertID{Expert: uint32(i + 1)})
 		}()
 	}
 	time.Sleep(20 * time.Millisecond) // let the pulls park
@@ -119,7 +118,7 @@ func TestMidFrameResetRetried(t *testing.T) {
 
 	c := newFastClient(4, 4)
 	defer c.Close()
-	got, err := c.Pull(ctx, addr, id)
+	got, err := pull(ctx, c, addr, id)
 	if err != nil {
 		t.Fatalf("pull did not survive mid-frame reset: %v", err)
 	}
@@ -144,7 +143,7 @@ func TestCorruptFrameRejectedAndRetried(t *testing.T) {
 
 	c := newFastClient(4, 4)
 	defer c.Close()
-	got, err := c.Pull(ctx, addr, id)
+	got, err := pull(ctx, c, addr, id)
 	if err != nil {
 		t.Fatalf("pull did not survive corrupt frame: %v", err)
 	}
@@ -297,7 +296,7 @@ func TestPullTimeoutCounted(t *testing.T) {
 		BackoffBase:    2 * time.Millisecond,
 	})
 	defer c.Close()
-	if _, err := c.Pull(ctx, addr, id); err == nil {
+	if _, err := pull(ctx, c, addr, id); err == nil {
 		t.Fatal("pull against a hung server succeeded")
 	}
 	snap := c.Robust.Snapshot()
@@ -324,7 +323,7 @@ func TestPullHonoursContext(t *testing.T) {
 	cctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := c.Pull(cctx, addr, id); err == nil {
+	if _, err := pull(cctx, c, addr, id); err == nil {
 		t.Fatal("cancelled pull succeeded")
 	}
 	if time.Since(start) > time.Second {
@@ -370,7 +369,7 @@ func TestPullsRaceReconnection(t *testing.T) {
 				// lifting inside each call.
 				deadline := time.Now().Add(5 * time.Second)
 				for {
-					got, err := c.Pull(ctx, addr, id)
+					got, err := pull(ctx, c, addr, id)
 					if err == nil {
 						if got[0] != byte(id.Expert) {
 							fail <- "wrong payload"
@@ -420,7 +419,7 @@ func TestConcurrentPullAndClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				c.Pull(ctx, addr, ExpertID{Expert: uint32((g + i) % 8)})
+				pull(ctx, c, addr, ExpertID{Expert: uint32((g + i) % 8)})
 			}
 		}()
 	}
@@ -433,7 +432,7 @@ func TestConcurrentPullAndClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pulls racing Close hung")
 	}
-	if _, err := c.Pull(ctx, addr, ExpertID{}); !errors.Is(err, ErrClosed) {
+	if _, err := pull(ctx, c, addr, ExpertID{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("pull on closed client: %v, want ErrClosed", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // SERVE payload: one inference micro-batch for one expert, stamped with
@@ -46,23 +45,10 @@ const maxServeBytes = maxFrameBytes - frameHeaderBytes - serveHeaderBytes
 
 // ErrServeExpired is the error a ServingStore returns when a
 // micro-batch's budget was already spent on arrival. It crosses the
-// wire as a msgError payload, so the client-side check is on the
-// message text (see IsServeExpired), mirroring how every other remote
-// error travels.
+// wire as a msgError payload, so a client recognises it by the
+// RemoteError's message text, mirroring how every other remote error
+// travels.
 var ErrServeExpired = errors.New("transport: serve budget expired")
-
-// IsServeExpired reports whether err is (or wraps, locally or across
-// the wire) a serve-budget expiry.
-func IsServeExpired(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrServeExpired) {
-		return true
-	}
-	var re *RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, ErrServeExpired.Error())
-}
 
 // EncodeServe serialises a SERVE payload: the remaining budget and the
 // micro-batch rows. rows must be rectangular rows×cols float32 data.

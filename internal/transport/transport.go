@@ -5,12 +5,13 @@
 // queue pair — the protocol structure is identical, only the constants
 // change).
 //
-// A Server owns experts and serves two request types: PULL (return the
-// current bytes of an expert) and GRAD (accept a gradient contribution
-// for an expert). A Client maintains one connection per remote peer,
-// pipelines requests over it, merges concurrent pulls of the same
-// expert (single flight, the Cache Manager behaviour of §5.1.2), and
-// bounds its in-flight pulls with a credit window (§5.1.1).
+// A Server owns experts and serves two core request types: PULL (return
+// an expert's bytes at a given version) and GRAD (accept a gradient
+// contribution for an expert). A Client maintains one connection per
+// remote peer, pipelines requests over it, and bounds its in-flight
+// pulls with a credit window (§5.1.1). Fetching each external expert
+// once per machine (the Cache Manager behaviour of §5.1.2) is the live
+// trainer's job, not the client's.
 //
 // All exported types are safe for concurrent use.
 package transport
@@ -28,7 +29,8 @@ import (
 
 // Message types on the wire.
 const (
-	msgPull       = 0x01 // client -> server: request expert bytes
+	// 0x01 was the unversioned pull. It stays reserved: no other
+	// message may reuse it, and a server drops a connection that sends it.
 	msgExpert     = 0x02 // server -> client: expert payload
 	msgGrad       = 0x03 // client -> server: gradient payload
 	msgGradAck    = 0x04 // server -> client: gradient accepted
@@ -228,11 +230,9 @@ func readFrame(r *bufio.Reader) (frame, error) {
 	return f, nil
 }
 
-// Store is the server-side source of truth the transport serves.
+// Store is the server-side sink for gradient pushes. A store that
+// also answers pulls implements VersionedStore.
 type Store interface {
-	// ExpertBytes returns the current serialized weights of an expert,
-	// or an error if the expert is not hosted here.
-	ExpertBytes(id ExpertID) ([]byte, error)
 	// AddGradient accepts one gradient contribution for a hosted expert.
 	// The payload slice is only valid for the duration of the call — the
 	// transport recycles its backing buffer afterwards — so an
@@ -241,7 +241,7 @@ type Store interface {
 }
 
 // BytesReleaser is an optional extension of Store for stores that
-// refcount the buffers ExpertBytes/ExpertBytesAt hand out. The server
+// refcount the buffers ExpertBytesAt hands out. The server
 // calls ReleaseExpertBytes exactly once per successfully answered pull,
 // after the payload has been copied to the wire — the store may then
 // recycle the buffer once its own references drop. Stores without this
@@ -485,9 +485,6 @@ func (s *Server) GradsAccepted() int64 { return s.grads.Load() }
 // recognised and answered without re-applying.
 func (s *Server) GradsDeduped() int64 { return s.gradDups.Load() }
 
-// PingsServed returns how many heartbeat probes this server answered.
-func (s *Server) PingsServed() int64 { return s.pings.Load() }
-
 // SetEpochGate arms (or, with nil semantics unavailable, replaces)
 // epoch fencing: requests older than the gate's epoch are rejected.
 // Servers without a gate accept every epoch, which keeps the plain
@@ -515,21 +512,6 @@ func (s *Server) joinHandler() JoinHandler {
 	}
 	return nil
 }
-
-// JoinsServed returns how many JOIN requests this server admitted.
-func (s *Server) JoinsServed() int64 { return s.joins.Load() }
-
-// MigrationsStaged returns how many MIGRATE payloads this server's
-// store accepted.
-func (s *Server) MigrationsStaged() int64 { return s.migrations.Load() }
-
-// ReplicasApplied returns how many REPL streams this server's store
-// accepted.
-func (s *Server) ReplicasApplied() int64 { return s.repls.Load() }
-
-// ServesAnswered returns how many SERVE micro-batches this server's
-// store computed and answered.
-func (s *Server) ServesAnswered() int64 { return s.serves.Load() }
 
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
@@ -650,16 +632,6 @@ func (cs *connState) worker(ch chan connTask) {
 func (cs *connState) handle(f frame, epoch uint64) {
 	s := cs.s
 	switch f.typ {
-	case msgPull:
-		payload, err := s.store.ExpertBytes(f.id)
-		if err != nil {
-			cs.respond(frame{typ: msgError, reqID: f.reqID, epoch: epoch, id: f.id, payload: []byte(err.Error())})
-			return
-		}
-		cs.respond(frame{typ: msgExpert, reqID: f.reqID, epoch: epoch, id: f.id, payload: payload})
-		if cs.rel != nil {
-			cs.rel.ReleaseExpertBytes(f.id, payload)
-		}
 	case msgPullV:
 		version := binary.BigEndian.Uint64(f.payload[:versionedPullBytes])
 		f.recycle()
@@ -776,9 +748,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		switch f.typ {
-		case msgPull:
-			s.pulls.Add(1)
-			cs.dispatch(f, epoch)
 		case msgPullV:
 			s.pulls.Add(1)
 			if len(f.payload) < versionedPullBytes {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,8 +36,8 @@ type memStore struct {
 	mu      sync.Mutex
 	experts map[ExpertID][]byte
 	grads   map[ExpertID]int
-	// serveDelayHook, if set, runs on every ExpertBytes call (used to
-	// widen race windows in the single-flight test).
+	// serveHook, if set, runs on every ExpertBytesAt call (used to
+	// hold pulls open in the credit-window test).
 	serveHook func()
 	// gradHook, if set, observes every applied gradient's payload
 	// while it is still valid (used by the no-retain batch tests).
@@ -47,7 +48,8 @@ func newMemStore() *memStore {
 	return &memStore{experts: make(map[ExpertID][]byte), grads: make(map[ExpertID]int)}
 }
 
-func (s *memStore) ExpertBytes(id ExpertID) ([]byte, error) {
+// ExpertBytesAt serves the current bytes at any version.
+func (s *memStore) ExpertBytesAt(id ExpertID, _ uint64) ([]byte, error) {
 	if s.serveHook != nil {
 		s.serveHook()
 	}
@@ -73,6 +75,12 @@ func (s *memStore) AddGradient(id ExpertID, payload []byte) error {
 	return nil
 }
 
+// pull fetches id's bytes from addr at version 0, which a memStore
+// always serves.
+func pull(ctx context.Context, c *Client, addr string, id ExpertID) ([]byte, error) {
+	return c.PullVersionInto(ctx, addr, id, 0, nil)
+}
+
 func startServer(t *testing.T, store Store) (*Server, string) {
 	t.Helper()
 	srv := NewServer(store)
@@ -93,7 +101,7 @@ func TestPullRoundTrip(t *testing.T) {
 
 	c := NewClient(4)
 	defer c.Close()
-	got, err := c.Pull(ctx, addr, id)
+	got, err := pull(ctx, c, addr, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +114,7 @@ func TestPullUnknownExpert(t *testing.T) {
 	_, addr := startServer(t, newMemStore())
 	c := NewClient(4)
 	defer c.Close()
-	if _, err := c.Pull(ctx, addr, ExpertID{Block: 1, Expert: 1}); err == nil {
+	if _, err := pull(ctx, c, addr, ExpertID{Block: 1, Expert: 1}); err == nil {
 		t.Fatal("pull of unknown expert succeeded")
 	}
 }
@@ -131,49 +139,6 @@ func TestGradientPush(t *testing.T) {
 	}
 }
 
-// Single flight: N concurrent pulls of the same expert produce exactly
-// one wire request.
-func TestPullSingleFlight(t *testing.T) {
-	store := newMemStore()
-	id := ExpertID{Block: 1, Expert: 4}
-	store.experts[id] = bytes.Repeat([]byte{7}, 4096)
-	gate := make(chan struct{})
-	var served atomic.Int32
-	store.serveHook = func() {
-		served.Add(1)
-		<-gate // hold the first request open until all pulls are queued
-	}
-	srv, addr := startServer(t, store)
-	c := NewClient(8)
-	defer c.Close()
-
-	const n = 16
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = c.Pull(ctx, addr, id)
-		}()
-	}
-	// Wait for the wire request to reach the server, then release it.
-	for served.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("pull %d: %v", i, err)
-		}
-	}
-	if got := srv.PullsServed(); got != 1 {
-		t.Fatalf("server saw %d pulls, want 1 (single flight)", got)
-	}
-}
-
 // Distinct experts pull concurrently and pipelining preserves
 // request/response pairing.
 func TestConcurrentDistinctPulls(t *testing.T) {
@@ -193,7 +158,7 @@ func TestConcurrentDistinctPulls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			id := ExpertID{Block: 0, Expert: uint32(i)}
-			got, err := c.Pull(ctx, addr, id)
+			got, err := pull(ctx, c, addr, id)
 			if err != nil {
 				fail <- err.Error()
 				return
@@ -243,7 +208,7 @@ func TestCreditWindowBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Pull(ctx, addr, ExpertID{Expert: uint32(i)})
+			pull(ctx, c, addr, ExpertID{Expert: uint32(i)})
 		}()
 	}
 	// Let pulls accumulate to the window, then drain.
@@ -264,7 +229,7 @@ func TestCountersBalance(t *testing.T) {
 	srv, addr := startServer(t, store)
 	c := NewClient(2)
 	defer c.Close()
-	if _, err := c.Pull(ctx, addr, id); err != nil {
+	if _, err := pull(ctx, c, addr, id); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PushGradient(ctx, addr, id, bytes.Repeat([]byte{6}, 500)); err != nil {
@@ -288,11 +253,11 @@ func TestServerCloseFailsPendingAndFuture(t *testing.T) {
 	srv, addr := startServer(t, store)
 	c := newFastClient(2, 2)
 	defer c.Close()
-	if _, err := c.Pull(ctx, addr, id); err != nil {
+	if _, err := pull(ctx, c, addr, id); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := c.Pull(ctx, addr, id); err == nil {
+	if _, err := pull(ctx, c, addr, id); err == nil {
 		t.Fatal("pull after server close succeeded")
 	}
 }
@@ -302,11 +267,11 @@ func TestClientCloseRejectsNewCalls(t *testing.T) {
 	store.experts[ExpertID{}] = []byte{1}
 	_, addr := startServer(t, store)
 	c := NewClient(2)
-	if _, err := c.Pull(ctx, addr, ExpertID{}); err != nil {
+	if _, err := pull(ctx, c, addr, ExpertID{}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.Pull(ctx, addr, ExpertID{}); err == nil {
+	if _, err := pull(ctx, c, addr, ExpertID{}); err == nil {
 		t.Fatal("pull on closed client succeeded")
 	}
 }
@@ -334,6 +299,29 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 }
 
+// A gradient frame round-trips through writeFrame and readFrame, and
+// recycling clears it.
+func TestBenchFixtureRoundTrip(t *testing.T) {
+	payload := make([]byte, gradTokenBytes+128)
+	binary.BigEndian.PutUint64(payload[0:8], 11)
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := writeFrame(w, frame{typ: msgGrad, reqID: 3, payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(bufio.NewReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.typ != msgGrad || f.reqID != 3 || !bytes.Equal(f.payload, payload) {
+		t.Fatalf("frame mismatch: %+v", f)
+	}
+	f.recycle()
+	if f.payload != nil || f.buf != nil {
+		t.Fatal("recycle did not clear the frame")
+	}
+}
+
 func TestReadFrameRejectsBadLength(t *testing.T) {
 	// Length below the header size must error, not allocate or hang.
 	buf := bytes.NewReader([]byte{0, 0, 0, 1, 0})
@@ -350,7 +338,7 @@ func TestReadFrameRejectsBadLength(t *testing.T) {
 func TestDialFailure(t *testing.T) {
 	c := newFastClient(2, 2)
 	defer c.Close()
-	_, err := c.Pull(ctx, "127.0.0.1:1", ExpertID{}) // port 1: nothing listening
+	_, err := pull(ctx, c, "127.0.0.1:1", ExpertID{}) // port 1: nothing listening
 	if err == nil {
 		t.Fatal("dial to dead port succeeded")
 	}

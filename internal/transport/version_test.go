@@ -43,7 +43,7 @@ func (s *verStore) ExpertBytesAt(id ExpertID, version uint64) ([]byte, error) {
 		return nil, fmt.Errorf("version %d superseded by %d", version, s.ver[id])
 	}
 	s.mu.Unlock()
-	return s.memStore.ExpertBytes(id)
+	return s.memStore.ExpertBytesAt(id, version)
 }
 
 // TestPullVersionBlocksUntilPublished: a versioned pull parks server-
@@ -63,7 +63,7 @@ func TestPullVersionBlocksUntilPublished(t *testing.T) {
 	var got []byte
 	go func() {
 		var err error
-		got, err = c.PullVersion(ctx, addr, id, 2)
+		got, err = c.PullVersionInto(ctx, addr, id, 2, nil)
 		done <- err
 	}()
 	select {
@@ -80,96 +80,20 @@ func TestPullVersionBlocksUntilPublished(t *testing.T) {
 	}
 }
 
-// TestPullVersionSingleFlight: concurrent pulls of the same (expert,
-// version) collapse into one wire request, but distinct versions do not
-// share flights.
-func TestPullVersionSingleFlight(t *testing.T) {
-	store := newVerStore()
-	id := ExpertID{Expert: 1}
-	store.experts[id] = []byte{1, 2, 3, 4}
-	_, addr := startServer(t, store)
-
-	c := NewClient(8)
-	defer c.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.PullVersion(ctx, addr, id, 5); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	// The version stays unpublished until every goroutine had time to
-	// join the in-flight pull, so the flight provably stays open.
-	time.Sleep(30 * time.Millisecond)
-	store.advance(id, 5)
-	wg.Wait()
-	store.mu.Lock()
-	calls := store.calls[5]
-	store.mu.Unlock()
-	if calls != 1 {
-		t.Fatalf("version 5 served %d times, want 1 (single flight)", calls)
-	}
-	// An unversioned pull of the same expert must not join the
-	// versioned flight's cache key.
-	if _, err := c.Pull(ctx, addr, id); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPullVersionUnversionedStore: a versioned pull against a store
 // that cannot serve versions is a remote error, not a hang.
 func TestPullVersionUnversionedStore(t *testing.T) {
 	store := newMemStore()
 	id := ExpertID{Expert: 2}
 	store.experts[id] = []byte{9}
-	_, addr := startServer(t, store)
+	// Only Store's method is promoted: the server sees no ExpertBytesAt.
+	_, addr := startServer(t, struct{ Store }{store})
 
 	c := newFastClient(4, 1)
 	defer c.Close()
-	_, err := c.PullVersion(ctx, addr, id, 1)
+	_, err := c.PullVersionInto(ctx, addr, id, 1, nil)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want RemoteError for unversioned store", err)
-	}
-}
-
-// TestInflightGauges: the pull/gradient in-flight gauges rise during
-// multiplexed requests and settle back to zero.
-func TestInflightGauges(t *testing.T) {
-	store := newVerStore()
-	id := ExpertID{Expert: 4}
-	store.experts[id] = []byte{7}
-	_, addr := startServer(t, store)
-
-	c := NewClient(4)
-	defer c.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.PullVersion(ctx, addr, id, 1)
-		done <- err
-	}()
-	deadline := time.Now().Add(time.Second)
-	for c.InflightPulls() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("inflight pull gauge never rose")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	store.advance(id, 1)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PushGradient(ctx, addr, id, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.InflightPulls(); got != 0 {
-		t.Fatalf("inflight pulls = %d after completion, want 0", got)
-	}
-	if got := c.InflightGrads(); got != 0 {
-		t.Fatalf("inflight grads = %d after completion, want 0", got)
 	}
 }
