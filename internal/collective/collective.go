@@ -19,6 +19,7 @@ package collective
 
 import (
 	"fmt"
+	"strconv"
 
 	"janus/internal/fabric"
 	"janus/internal/topology"
@@ -55,7 +56,7 @@ func AllToAll(c *topology.Cluster, gpus []*topology.GPU, sizes [][]float64, name
 				continue
 			}
 			specs = append(specs, fabric.FlowSpec{
-				Name: fmt.Sprintf("%s:%v->%v", name, src, dst),
+				Name: name + ":" + src.String() + "->" + dst.String(),
 				Size: sizes[i][j], Eff: c.Spec.A2AEfficiency,
 				Path: c.PathGPUToGPU(src, dst),
 			})
@@ -76,8 +77,9 @@ func startWave(c *topology.Cluster, specs []fabric.FlowSpec, onDone func()) {
 		return
 	}
 	join := &joinCounter{n: len(specs), done: onDone}
+	arrive := func(*fabric.Flow) { join.arrive() }
 	for i := range specs {
-		specs[i].OnComplete = func(*fabric.Flow) { join.arrive() }
+		specs[i].OnComplete = arrive
 	}
 	c.Net.StartFlows(specs)
 }
@@ -131,7 +133,7 @@ func HierarchicalAllToAll(c *topology.Cluster, sizes [][]float64, name string, o
 		for _, k := range keys {
 			src, dst := gpus[k[0]], gpus[k[1]]
 			specs = append(specs, fabric.FlowSpec{
-				Name: fmt.Sprintf("%s.%s:%v->%v", name, phase, src, dst),
+				Name: name + "." + phase + ":" + src.String() + "->" + dst.String(),
 				Size: pairs[k], Eff: c.Spec.A2AEfficiency,
 				Path: c.PathGPUToGPU(src, dst),
 			})
@@ -190,7 +192,7 @@ func RingAllReduce(c *topology.Cluster, gpus []*topology.GPU, bytesPerGPU float6
 		for i, src := range gpus {
 			dst := gpus[(i+1)%nGPU]
 			specs = append(specs, fabric.FlowSpec{
-				Name: fmt.Sprintf("%s.step%d:%v->%v", name, s, src, dst),
+				Name: name + ".step" + strconv.Itoa(s) + ":" + src.String() + "->" + dst.String(),
 				Size: chunk, Eff: c.Spec.AllReduceEfficiency,
 				Path: c.PathGPUToGPU(src, dst),
 			})
@@ -210,7 +212,7 @@ func Broadcast(c *topology.Cluster, root *topology.GPU, gpus []*topology.GPU, si
 				continue
 			}
 			specs = append(specs, fabric.FlowSpec{
-				Name: fmt.Sprintf("%s:%v->%v", name, root, dst),
+				Name: name + ":" + root.String() + "->" + dst.String(),
 				Size: size, Eff: c.Spec.PullEfficiency,
 				Path: c.PathGPUToGPU(root, dst),
 			})

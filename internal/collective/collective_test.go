@@ -224,3 +224,25 @@ func TestFlatVsHierarchicalTrafficProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllToAllWaveAllocs pins the allocation cost of one 32-GPU
+// All-to-All wave, admitted and drained: four allocations per flow (the
+// fabric Flow, its name, its path and its per-link positions) plus a
+// per-wave constant. Every flow of a wave shares one completion
+// closure, and flow names are concatenated from names each GPU built
+// once, so neither costs an allocation per flow.
+func TestAllToAllWaveAllocs(t *testing.T) {
+	c := cluster(t, 4)
+	gpus := c.GPUs()
+	sizes := uniformSizes(len(gpus), 1e6)
+	flows := len(gpus) * (len(gpus) - 1)
+	wave := func() {
+		AllToAll(c, gpus, sizes, "a2a", nil)
+		c.Engine.Run()
+	}
+	wave()
+	allocs := testing.AllocsPerRun(5, wave)
+	if limit := float64(4*flows + 200); allocs > limit {
+		t.Fatalf("%v allocations per %d-flow wave, want at most %v", allocs, flows, limit)
+	}
+}

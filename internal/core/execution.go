@@ -2,12 +2,31 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"janus/internal/collective"
 	"janus/internal/config"
 	"janus/internal/costmodel"
 	"janus/internal/fabric"
 )
+
+// spanName names block b's compute op: op followed by b. Only a traced
+// run reads span names (the processors' OnSpan), so an untraced run
+// builds none.
+func (r *runner) spanName(op string, b int) string {
+	if !r.cfg.Trace {
+		return ""
+	}
+	return op + strconv.Itoa(b)
+}
+
+// expertSpanName is spanName for expert e of block b: op, b, ".e", e.
+func (r *runner) expertSpanName(op string, b, e int) string {
+	if !r.cfg.Trace {
+		return ""
+	}
+	return op + strconv.Itoa(b) + ".e" + strconv.Itoa(e)
+}
 
 // --- per-worker forward chain -------------------------------------------
 
@@ -46,12 +65,12 @@ func (w *worker) startForward(b int) {
 		}
 		w.startForward(b + 1)
 	}
-	w.g.Compute.Submit(fmt.Sprintf("attn.fwd.%d", b), r.dur(w.idx, r.costs.AttentionFwd()), func() {
+	w.g.Compute.Submit(r.spanName("attn.fwd.", b), r.dur(w.idx, r.costs.AttentionFwd()), func() {
 		if blk.Kind == config.Dense {
-			w.g.Compute.Submit(fmt.Sprintf("ffn.fwd.%d", b), r.dur(w.idx, r.costs.DenseFFNFwd()), done)
+			w.g.Compute.Submit(r.spanName("ffn.fwd.", b), r.dur(w.idx, r.costs.DenseFFNFwd()), done)
 			return
 		}
-		w.g.Compute.Submit(fmt.Sprintf("gate.fwd.%d", b), r.dur(w.idx, r.costs.GateFwd(blk.NumExperts)), func() {
+		w.g.Compute.Submit(r.spanName("gate.fwd.", b), r.dur(w.idx, r.costs.GateFwd(blk.NumExperts)), func() {
 			switch r.report.Paradigms[b] {
 			case config.ExpertCentric:
 				r.ecState(b).fwd.join(r, b, w, done, false)
@@ -95,7 +114,7 @@ func (w *worker) runExpertPhaseForward(b int, done func()) {
 	computeSum := 0.0
 	combineDur := r.dur(w.idx, r.costs.Combine())
 	finishPhase := func() {
-		w.g.Compute.Submit(fmt.Sprintf("combine.fwd.%d", b), combineDur, func() {
+		w.g.Compute.Submit(r.spanName("combine.fwd.", b), combineDur, func() {
 			stall := (r.c.Engine.Now() - phaseStart) - computeSum - combineDur
 			if stall > 0 {
 				w.stallTime += stall
@@ -114,7 +133,7 @@ func (w *worker) runExpertPhaseForward(b int, done func()) {
 		if isFetched {
 			dur += r.fetchOpTime()
 		}
-		w.g.Compute.Submit(fmt.Sprintf("expert.fwd.%d.e%d", b, e), dur, func() {
+		w.g.Compute.Submit(r.expertSpanName("expert.fwd.", b, e), dur, func() {
 			computeSum += dur
 			if isFetched {
 				// Offload to host memory for backward reuse; the buffer
@@ -152,12 +171,12 @@ func (w *worker) startBackward(b int) {
 	blk := r.cfg.Model.Blocks[b]
 	next := func() { w.startBackward(b - 1) }
 	if blk.Kind == config.Dense {
-		w.g.Compute.Submit(fmt.Sprintf("dense.bwd.%d", b),
+		w.g.Compute.Submit(r.spanName("dense.bwd.", b),
 			r.dur(w.idx, r.costs.AttentionBwd()+r.costs.DenseFFNBwd()), next)
 		return
 	}
 	afterExperts := func() {
-		w.g.Compute.Submit(fmt.Sprintf("attn.bwd.%d", b), r.dur(w.idx, r.costs.AttentionBwd()), next)
+		w.g.Compute.Submit(r.spanName("attn.bwd.", b), r.dur(w.idx, r.costs.AttentionBwd()), next)
 	}
 	switch r.report.Paradigms[b] {
 	case config.ExpertCentric:
@@ -198,7 +217,7 @@ func (w *worker) runExpertPhaseBackward(b int, done func()) {
 		if isFetched {
 			dur += r.fetchOpTime()
 		}
-		w.g.Compute.Submit(fmt.Sprintf("expert.bwd.%d.e%d", b, e), dur, func() {
+		w.g.Compute.Submit(r.expertSpanName("expert.bwd.", b, e), dur, func() {
 			computeSum += dur
 			if isFetched {
 				w.releaseCredit()
@@ -320,11 +339,12 @@ func (r *runner) runECPhase(b int, p *ecPhase, backward bool) {
 	if backward {
 		phase = "bwd"
 	}
+	name := "a2a." + phase + "." + strconv.Itoa(b)
 	start := r.c.Engine.Now()
 	release := func() {
 		now := r.c.Engine.Now()
 		if r.cfg.Trace {
-			r.tl.AddSpan("net", fmt.Sprintf("a2a.%s.%d", phase, b), start, now)
+			r.tl.AddSpan("net", name, start, now)
 		}
 		for i, w := range p.workers {
 			stall := (now - p.joinAt[i]) - computeDur[w.idx]
@@ -337,11 +357,10 @@ func (r *runner) runECPhase(b int, p *ecPhase, backward bool) {
 			c()
 		}
 	}
-	name := fmt.Sprintf("a2a.%s.%d", phase, b)
 	collective.AllToAll(r.c, r.c.GPUs(), dispatch, name+".in", func() {
 		barrier := len(r.workers)
 		for _, w := range p.workers {
-			w.g.Compute.Submit(fmt.Sprintf("expert.%s.%d", phase, b),
+			w.g.Compute.Submit(r.spanName("expert."+phase+".", b),
 				r.dur(w.idx, computeDur[w.idx]), func() {
 					barrier--
 					if barrier == 0 {

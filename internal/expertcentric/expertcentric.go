@@ -9,6 +9,7 @@ package expertcentric
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"janus/internal/collective"
 	"janus/internal/config"
@@ -155,6 +156,16 @@ func (r *runner) dur(rank int, d float64) float64 {
 	return d
 }
 
+// spanName names block b's compute op: op followed by b. Only a traced
+// run reads span names (the processors' OnSpan), so an untraced run
+// builds none.
+func (r *runner) spanName(op string, b int) string {
+	if !r.cfg.Trace {
+		return ""
+	}
+	return op + strconv.Itoa(b)
+}
+
 // computeAll submits the same nominal-duration op to every GPU (scaled
 // by its straggler factor and jitter) and fires then when all complete.
 func (r *runner) computeAll(name string, dur float64, then func()) {
@@ -259,10 +270,10 @@ func (r *runner) forwardBlock(b int) {
 		}
 		r.forwardBlock(b + 1)
 	}
-	attn := fmt.Sprintf("attn.fwd.%d", b)
+	attn := r.spanName("attn.fwd.", b)
 	if blk.Kind == config.Dense {
 		r.computeAll(attn, r.costs.AttentionFwd(), func() {
-			r.computeAll(fmt.Sprintf("ffn.fwd.%d", b), r.costs.DenseFFNFwd(), next)
+			r.computeAll(r.spanName("ffn.fwd.", b), r.costs.DenseFFNFwd(), next)
 		})
 		return
 	}
@@ -270,10 +281,10 @@ func (r *runner) forwardBlock(b int) {
 	dispatch := r.dispatchSizes(b)
 	expertDurs := r.expertComputeDurs(b, false)
 	r.computeAll(attn, r.costs.AttentionFwd(), func() {
-		r.computeAll(fmt.Sprintf("gate.fwd.%d", b), r.costs.GateFwd(blk.NumExperts), func() {
-			r.allToAll(fmt.Sprintf("a2a.dispatch.fwd.%d", b), dispatch, func() {
-				r.computeEach(fmt.Sprintf("expert.fwd.%d", b), expertDurs, func() {
-					r.allToAll(fmt.Sprintf("a2a.combine.fwd.%d", b), transpose(dispatch), next)
+		r.computeAll(r.spanName("gate.fwd.", b), r.costs.GateFwd(blk.NumExperts), func() {
+			r.allToAll("a2a.dispatch.fwd."+strconv.Itoa(b), dispatch, func() {
+				r.computeEach(r.spanName("expert.fwd.", b), expertDurs, func() {
+					r.allToAll("a2a.combine.fwd."+strconv.Itoa(b), transpose(dispatch), next)
 				})
 			})
 		})
@@ -302,7 +313,7 @@ func (r *runner) backwardBlock(b int) {
 	blk := model.Blocks[b]
 	next := func() { r.backwardBlock(b - 1) }
 	if blk.Kind == config.Dense {
-		r.computeAll(fmt.Sprintf("dense.bwd.%d", b), r.costs.AttentionBwd()+r.costs.DenseFFNBwd(), next)
+		r.computeAll(r.spanName("dense.bwd.", b), r.costs.AttentionBwd()+r.costs.DenseFFNBwd(), next)
 		return
 	}
 	dispatch := r.dispatchSizes(b)
@@ -310,10 +321,10 @@ func (r *runner) backwardBlock(b int) {
 	// Backward mirrors forward: upstream gradients dY travel the
 	// dispatch pattern, experts compute their gradients, then dX
 	// returns along the combine pattern, then attention backward.
-	r.allToAll(fmt.Sprintf("a2a.dy.bwd.%d", b), dispatch, func() {
-		r.computeEach(fmt.Sprintf("expert.bwd.%d", b), expertDurs, func() {
-			r.allToAll(fmt.Sprintf("a2a.dx.bwd.%d", b), transpose(dispatch), func() {
-				r.computeAll(fmt.Sprintf("attn.bwd.%d", b), r.costs.AttentionBwd(), next)
+	r.allToAll("a2a.dy.bwd."+strconv.Itoa(b), dispatch, func() {
+		r.computeEach(r.spanName("expert.bwd.", b), expertDurs, func() {
+			r.allToAll("a2a.dx.bwd."+strconv.Itoa(b), transpose(dispatch), func() {
+				r.computeAll(r.spanName("attn.bwd.", b), r.costs.AttentionBwd(), next)
 			})
 		})
 	})

@@ -11,6 +11,15 @@
 //     full fill performs on that component; flows outside it would
 //     recompute to bitwise-equal rates, which re-anchoring then skips.
 //
+//     Two shortcuts rest on it. After a settle whose scope was every
+//     active flow, a settle with only retirements since fills the whole
+//     active set (scopeWhole), a union of components that holds the
+//     perturbed one, without walking it. And a link's rate sums are
+//     recomputed only if it is a trigger link or a re-anchored flow
+//     crosses it: any other link has the same flows in the same order
+//     at the same rates, so its sums would be the same bits. The oracle
+//     recomputes every sum, so the differential checks the skip.
+//
 //  2. Bottleneck selection order within a component matches the naive
 //     scan. The naive scan picks the first link (in flow-ord × path
 //     order) achieving the minimum share, i.e. the lexicographic
@@ -48,14 +57,24 @@ func (n *Network) settle() {
 
 	var scopeF []*Flow
 	var scopeL []*Link
+	var gen uint64 // stamps the links whose rate sums can change; 0 for the oracle
 	if n.oracle {
 		scopeF, scopeL = n.scopeOracle(trig)
 		n.resetFill(scopeF, scopeL)
 		fillOracle(scopeF)
 	} else {
 		var pathSum int
-		scopeF, scopeL, pathSum = n.scopeComponent(trig)
+		if n.wholeValid {
+			scopeF, scopeL, pathSum = n.scopeWhole()
+		} else {
+			scopeF, scopeL, pathSum = n.scopeComponent(trig)
+		}
 		n.fillComponent(scopeF, scopeL, pathSum)
+		n.compGen++
+		gen = n.compGen
+		for _, l := range trig {
+			l.compGen = gen
+		}
 	}
 
 	// Re-anchor exactly the flows whose rate changed bitwise. Using the
@@ -85,12 +104,21 @@ func (n *Network) settle() {
 		} else {
 			n.fixCompletion(f)
 		}
+		if gen != 0 {
+			for _, l := range f.path {
+				l.compGen = gen
+			}
+		}
 	}
 
 	// Recompute the rate sums of scope links; sync the carried/busy
 	// integrals only where a sum changed bitwise, so the integration
-	// points coincide under the settle and the oracle.
+	// points coincide under the settle and the oracle. The settle skips
+	// the links gen does not stamp (invariant 1); the oracle sums all.
 	for _, l := range scopeL {
+		if gen != 0 && l.compGen != gen {
+			continue
+		}
 		var sr, sg float64
 		for _, ref := range l.flows {
 			sr += ref.f.rate
@@ -106,6 +134,20 @@ func (n *Network) settle() {
 		}
 	}
 
+	// A scope of every active flow holds every link that carries one;
+	// keep those (a link emptied at this instant had its sums zeroed
+	// above) for the next settle, which may reuse them if only
+	// retirements come before it.
+	n.wholeValid = len(scopeF) == n.nActive
+	if n.wholeValid {
+		keep := n.wholeLinks[:0]
+		for _, l := range scopeL {
+			if len(l.flows) > 0 {
+				keep = append(keep, l)
+			}
+		}
+		n.wholeLinks = keep
+	}
 	n.scopeFlows = scopeF[:0]
 	n.scopeLinks = scopeL[:0]
 
@@ -196,6 +238,31 @@ func (n *Network) scopeComponent(trig []*Link) (scopeF []*Flow, scopeL []*Link, 
 		n.compact()
 	}
 	n.scopeFlows = scopeF // keep the (possibly regrown) backing array
+	return scopeF, scopeL, pathSum
+}
+
+// scopeWhole is the scope of a settle that follows a whole-set settle
+// with only retirements in between: every active flow, in ord order once
+// compacted, over the links that settle left carrying a flow. Those
+// links hold this instant's triggers, because every retired flow was
+// active when they were kept. Like scopeComponent, it resets the fill
+// state and sums the path lengths; both lists are copied into the scope
+// scratch, so n.active and n.wholeLinks are never aliased.
+func (n *Network) scopeWhole() (scopeF []*Flow, scopeL []*Link, pathSum int) {
+	n.wholeSettles++
+	n.compact()
+	scopeF = n.scopeFlows[:0]
+	for _, f := range n.active {
+		f.frozen = false
+		f.newRate = 0
+		scopeF = append(scopeF, f)
+	}
+	scopeL = n.scopeLinks[:0]
+	for _, l := range n.wholeLinks {
+		l.startFill(len(l.flows))
+		pathSum += len(l.flows)
+		scopeL = append(scopeL, l)
+	}
 	return scopeF, scopeL, pathSum
 }
 

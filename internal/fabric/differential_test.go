@@ -406,3 +406,57 @@ func TestStartFlowsMatchesSingleAdmission(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseDrainReusesWholeSet pins that the whole-set scope fires and
+// is checked. A 32-machine dense All-to-All on 8 trunks is one
+// component: its admission settle covers every active flow, and each
+// later instant only retires flows, so most settles must scope the
+// active list directly (scopeWhole) instead of walking the component
+// again. The drain must also match the oracle bit for bit, so a
+// whole-set settle that dropped a link or a flow from its scope fails
+// here, not only in the random differentials.
+func TestDenseDrainReusesWholeSet(t *testing.T) {
+	drain := func(oracle bool) (settles, whole int, finish, carried []float64) {
+		topo := newBenchTopo(32, 8)
+		if oracle {
+			topo.net.UseOracle()
+		}
+		flows := topo.net.StartFlows(topo.allToAllSpecs(0, 1e6))
+		for {
+			pending := topo.net.settlePending
+			if !topo.eng.Step() {
+				break
+			}
+			if pending && !topo.net.settlePending {
+				settles++
+			}
+		}
+		for _, f := range flows {
+			finish = append(finish, f.FinishedAt())
+		}
+		for _, l := range topo.net.links {
+			carried = append(carried, l.CarriedBytes())
+		}
+		if kept := len(topo.net.wholeLinks); kept != 0 {
+			// Each whole settle trims the links it keeps to those still
+			// carrying a flow, so the scope shrinks as the wave drains.
+			t.Errorf("drained network keeps %d links for the next whole-set scope, want 0", kept)
+		}
+		return settles, topo.net.wholeSettles, finish, carried
+	}
+	settles, whole, finish, carried := drain(false)
+	if 10*whole < 9*settles {
+		t.Errorf("%d of %d settles took the whole-set scope, want at least 90%%", whole, settles)
+	}
+	_, oracleWhole, oracleFinish, oracleCarried := drain(true)
+	if oracleWhole != 0 {
+		t.Errorf("oracle run took the whole-set scope %d times", oracleWhole)
+	}
+	if i, ok := bitEqual(oracleFinish, finish); !ok {
+		t.Fatalf("completion time diverges at flow %d: oracle %v, settle %v", i, oracleFinish[i], finish[i])
+	}
+	if i, ok := bitEqual(oracleCarried, carried); !ok {
+		t.Fatalf("carried bytes diverge at link %d: oracle %v, settle %v", i, oracleCarried[i], carried[i])
+	}
+	t.Logf("%d of %d settles reused the whole set", whole, settles)
+}

@@ -28,14 +28,18 @@
 // of arrivals and completions at one virtual instant trigger a single
 // settle — and restricted to the connected component of links and flows
 // actually perturbed, filled by a scan or an indexed bottleneck heap
-// whichever the component's size makes cheaper. Flow and link byte
-// accounting is anchor-based (see alloc.go), so nothing is integrated
-// eagerly per event; completions are tracked in a min-heap of exact
-// predicted finish times. The original naive full-rescan progressive
-// filling stays in the package as the test oracle; the production
-// settle produces bit-identical results (rates, completion times, link
-// utilization), which differential_test.go enforces on seeded random
-// workloads.
+// whichever the component's size makes cheaper. When the last settle
+// already covered every active flow and only retirements came since
+// (the drain of a dense All-to-All), the settle reuses that whole set
+// instead of walking the component again, and it recomputes a link's
+// rate sums only where a flow joined, left or changed rate. Flow and
+// link byte accounting is anchor-based (see alloc.go), so nothing is
+// integrated eagerly per event; completions are tracked in a min-heap
+// of exact predicted finish times. The original naive full-rescan
+// progressive filling stays in the package as the test oracle; the
+// production settle produces bit-identical results (rates, completion
+// times, link utilization), which differential_test.go enforces on
+// seeded random workloads.
 package fabric
 
 import (
@@ -236,6 +240,14 @@ type Network struct {
 	bfsQueue   []*Link
 	hheap      []*Link
 
+	// whole-set reuse (see scopeWhole): wholeValid says the last settle's
+	// scope was every active flow and no flow has activated since;
+	// wholeLinks are that scope's links still carrying a flow.
+	// wholeSettles counts the settles that reused them; only tests read it.
+	wholeValid   bool
+	wholeLinks   []*Link
+	wholeSettles int
+
 	// oracle routes every settle through the naive reference fill; only
 	// the package's tests set it (see export_test.go).
 	oracle bool
@@ -399,6 +411,7 @@ func (n *Network) activate(batch []*Flow) {
 		n.active = append(n.active, f)
 		n.nActive++
 	}
+	n.wholeValid = false
 	n.ensureSettle()
 }
 

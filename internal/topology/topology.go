@@ -191,6 +191,8 @@ type GPU struct {
 	Local   int // rank within machine
 	Machine *Machine
 
+	name string // "m<machine>g<local>", built once with the cluster
+
 	Compute *sim.Processor
 
 	// NVSwitch port (intra-machine GPU<->GPU traffic).
@@ -216,7 +218,7 @@ func (g *GPU) Peers() []*GPU {
 }
 
 // String returns "m<machine>g<local>".
-func (g *GPU) String() string { return fmt.Sprintf("m%dg%d", g.Machine.Index, g.Local) }
+func (g *GPU) String() string { return g.name }
 
 // PCIeSwitch aggregates the host-side links of one PCIe switch: the
 // lanes to the CPU and the NIC hanging off the switch.
@@ -277,12 +279,12 @@ func NewOn(eng *sim.Engine, net *fabric.Network, spec Spec) (*Cluster, error) {
 			m.Switches = append(m.Switches, sw)
 		}
 		for li := 0; li < spec.GPUsPerNode; li++ {
-			g := &GPU{Global: mi*spec.GPUsPerNode + li, Local: li, Machine: m}
-			g.Compute = sim.NewProcessor(eng, fmt.Sprintf("m%dg%d", mi, li))
-			g.NVOut = net.NewLink(fmt.Sprintf("m%dg%d.nv.out", mi, li), "nvlink", spec.NVLinkBps, spec.NVLinkLatency)
-			g.NVIn = net.NewLink(fmt.Sprintf("m%dg%d.nv.in", mi, li), "nvlink", spec.NVLinkBps, spec.NVLinkLatency)
-			g.ToSwitch = net.NewLink(fmt.Sprintf("m%dg%d.pcie.up", mi, li), "pcie-gpu", spec.PCIeBps, spec.PCIeLatency)
-			g.FromSwitch = net.NewLink(fmt.Sprintf("m%dg%d.pcie.down", mi, li), "pcie-gpu", spec.PCIeBps, spec.PCIeLatency)
+			g := &GPU{Global: mi*spec.GPUsPerNode + li, Local: li, Machine: m, name: fmt.Sprintf("m%dg%d", mi, li)}
+			g.Compute = sim.NewProcessor(eng, g.name)
+			g.NVOut = net.NewLink(g.name+".nv.out", "nvlink", spec.NVLinkBps, spec.NVLinkLatency)
+			g.NVIn = net.NewLink(g.name+".nv.in", "nvlink", spec.NVLinkBps, spec.NVLinkLatency)
+			g.ToSwitch = net.NewLink(g.name+".pcie.up", "pcie-gpu", spec.PCIeBps, spec.PCIeLatency)
+			g.FromSwitch = net.NewLink(g.name+".pcie.down", "pcie-gpu", spec.PCIeBps, spec.PCIeLatency)
 			m.GPUs = append(m.GPUs, g)
 			c.gpus = append(c.gpus, g)
 		}
