@@ -468,14 +468,23 @@ func (w *worker) enqueueForwardFetches(b int) {
 	// External experts: register the machine-level pull (single flight
 	// in the Cache Manager), then order the stage-2 copies. With the
 	// PCIe-switch-aware strategy, the two peers split the list in two
-	// groups and interleave own-group PCIe copies with peer relays.
+	// groups and interleave own-group PCIe copies with peer relays. Both
+	// rank the union of the experts either of them needs, so an expert
+	// both need is a PCIe copy on exactly one side: ranked over its own
+	// list alone, a worker under sparse routing could relay an expert its
+	// peer also relays, and each would wait on the other for ever.
 	numExperts := model.Blocks[b].NumExperts
+	peer := w.peer()
+	split := r.cfg.TopoAware && peer != nil && !r.cfg.DisableCache
 	var externals []int
 	for e := 0; e < numExperts; e++ {
 		if r.ownerOf(b, e)/m == w.g.Machine.Index {
 			continue // internal or own
 		}
 		if !r.needs(w.idx, b, e) {
+			if split && r.needs(peer.idx, b, e) {
+				externals = append(externals, e)
+			}
 			continue
 		}
 		if r.cfg.DisableCache {
@@ -485,17 +494,17 @@ func (w *worker) enqueueForwardFetches(b int) {
 		externals = append(externals, e)
 		w.machine().requestCache(expertKey{b, e})
 	}
-	peer := w.peer()
-	if r.cfg.TopoAware && peer != nil {
+	if split {
 		var mine, theirs []fetchTask
 		for rank, e := range externals {
 			k := expertKey{b, e}
-			if rank%2 == localRank%2 {
+			if !r.needs(w.idx, b, e) {
+				continue
+			}
+			if rank%2 == localRank%2 || !r.needs(peer.idx, b, e) {
 				mine = append(mine, fetchTask{key: k, kind: taskExternalPCIe})
-			} else if r.needs(peer.idx, b, e) {
-				theirs = append(theirs, fetchTask{key: k, kind: taskExternalPeer})
 			} else {
-				mine = append(mine, fetchTask{key: k, kind: taskExternalPCIe})
+				theirs = append(theirs, fetchTask{key: k, kind: taskExternalPeer})
 			}
 		}
 		for i := 0; i < len(mine) || i < len(theirs); i++ {

@@ -11,14 +11,27 @@
 //     full fill performs on that component; flows outside it would
 //     recompute to bitwise-equal rates, which re-anchoring then skips.
 //
-//     Two shortcuts rest on it. After a settle whose scope was every
+//     Three shortcuts rest on it. After a settle whose scope was every
 //     active flow, a settle with only retirements since fills the whole
-//     active set (scopeWhole), a union of components that holds the
-//     perturbed one, without walking it. And a link's rate sums are
-//     recomputed only if it is a trigger link or a re-anchored flow
-//     crosses it: any other link has the same flows in the same order
-//     at the same rates, so its sums would be the same bits. The oracle
-//     recomputes every sum, so the differential checks the skip.
+//     active set, a union of components that holds the perturbed one,
+//     without walking it. A link's rate sums are recomputed only if it
+//     is a trigger link or a re-anchored flow crosses it: any other link
+//     has the same flows in the same order at the same rates, so its
+//     sums would be the same bits. The oracle recomputes every sum, so
+//     the differential checks the skip.
+//
+//     And that whole-set fill resumes where a retirement first changes
+//     it (scopeResume). Until the first round that froze a retiring
+//     flow, the old fill's bottlenecks carried no retiring flow, so
+//     their keys are unchanged; every link a retiring flow crossed keeps
+//     its residual over a smaller unfrozen count, so its (share, index)
+//     key can only grow (its residual is positive while it has unfrozen
+//     flows, or the zero-goodput panic below fires); no other key moves.
+//     Those rounds therefore repeat bit for bit, and replaying their
+//     logged freezes — the same residual steps in the same order — puts
+//     every link where a fresh fill would be when it reaches that round.
+//     The round is the unit: its share changes, so every flow it froze
+//     is filled again.
 //
 //  2. Bottleneck selection order within a component matches the naive
 //     scan. The naive scan picks the first link (in flow-ord × path
@@ -50,10 +63,8 @@ import (
 func (n *Network) settle() {
 	n.settlePending = false
 	now := n.eng.Now()
-	finished := n.pendingDone
-	n.pendingDone = nil
-	trig := n.trigLinks
-	n.trigLinks = nil
+	finished, trig := n.pendingDone, n.trigLinks
+	n.pendingDone, n.trigLinks = n.doneSpare, n.trigSpare
 
 	var scopeF []*Flow
 	var scopeL []*Link
@@ -65,9 +76,12 @@ func (n *Network) settle() {
 	} else {
 		var pathSum int
 		if n.wholeValid {
-			scopeF, scopeL, pathSum = n.scopeWhole()
+			scopeF, scopeL, pathSum = n.scopeResume()
 		} else {
 			scopeF, scopeL, pathSum = n.scopeComponent(trig)
+		}
+		if n.nDead > 64 && n.nDead > n.nActive {
+			n.compact()
 		}
 		n.fillComponent(scopeF, scopeL, pathSum)
 		n.compGen++
@@ -134,11 +148,11 @@ func (n *Network) settle() {
 		}
 	}
 
-	// A scope of every active flow holds every link that carries one;
-	// keep those (a link emptied at this instant had its sums zeroed
-	// above) for the next settle, which may reuse them if only
-	// retirements come before it.
-	n.wholeValid = len(scopeF) == n.nActive
+	// A scope of every active flow (or a resume, which refilled the
+	// rest of it) holds every link that carries one; keep those (a link
+	// emptied at this instant had its sums zeroed above) for the next
+	// settle, which may resume if only retirements come before it.
+	n.wholeValid = n.wholeValid || len(scopeF) == n.nActive
 	if n.wholeValid {
 		keep := n.wholeLinks[:0]
 		for _, l := range scopeL {
@@ -156,6 +170,9 @@ func (n *Network) settle() {
 	for _, f := range finished {
 		n.finish(f)
 	}
+	clear(finished)
+	clear(trig)
+	n.doneSpare, n.trigSpare = finished[:0], trig[:0]
 }
 
 // scopeOracle is the reference scope: every active flow and every link
@@ -193,8 +210,10 @@ func (n *Network) scopeOracle(trig []*Link) ([]*Flow, []*Link) {
 // oracle's scope): a component holds every flow crossing any of its
 // links, so a link's unfrozen count is its whole flow list the moment
 // it is discovered. pathSum is the scope's Σ path lengths, the same
-// count summed over links.
+// count summed over links. The fill log starts afresh.
 func (n *Network) scopeComponent(trig []*Link) (scopeF []*Flow, scopeL []*Link, pathSum int) {
+	clear(n.flog)
+	n.flog = n.flog[:0]
 	n.compGen++
 	gen := n.compGen
 	scopeF = n.scopeFlows[:0]
@@ -234,35 +253,64 @@ func (n *Network) scopeComponent(trig []*Link) (scopeF []*Flow, scopeL []*Link, 
 	}
 	n.bfsQueue = queue[:0]
 	scopeF = n.orderScope(scopeF, gen)
-	if n.nDead > 64 && n.nDead > n.nActive {
-		n.compact()
-	}
 	n.scopeFlows = scopeF // keep the (possibly regrown) backing array
 	return scopeF, scopeL, pathSum
 }
 
-// scopeWhole is the scope of a settle that follows a whole-set settle
-// with only retirements in between: every active flow, in ord order once
-// compacted, over the links that settle left carrying a flow. Those
-// links hold this instant's triggers, because every retired flow was
-// active when they were kept. Like scopeComponent, it resets the fill
-// state and sums the path lengths; both lists are copied into the scope
-// scratch, so n.active and n.wholeLinks are never aliased.
-func (n *Network) scopeWhole() (scopeF []*Flow, scopeL []*Link, pathSum int) {
-	n.wholeSettles++
-	n.compact()
-	scopeF = n.scopeFlows[:0]
-	for _, f := range n.active {
-		f.frozen = false
-		f.newRate = 0
-		scopeF = append(scopeF, f)
+// freeze is one fill-log entry: f froze at share in the round whose
+// first entry is at log index round.
+type freeze struct {
+	f     *Flow
+	share float64
+	round int
+}
+
+// scopeResume is the scope of a settle that follows a whole-set settle
+// with only retirements in between (invariant 1). The log holds that
+// settle's fill of every then-active flow. The rounds before the first
+// one that froze a now-retired flow are replayed from it, the same
+// clamped residual steps in log order; the scope is the still-active
+// flows of the later rounds, over the links that settle left carrying a
+// flow. Those links hold this instant's triggers, because every retired
+// flow was active when they were kept. Like scopeComponent, it resets
+// the fill state and sums the scope's path lengths, and it cuts the log
+// to the replayed rounds, clearing the tail so it keeps no retired flow.
+func (n *Network) scopeResume() (scopeF []*Flow, scopeL []*Link, pathSum int) {
+	n.resumes++
+	log := n.flog
+	start := len(log)
+	for _, e := range log {
+		if !e.f.active {
+			start = e.round
+			break
+		}
 	}
 	scopeL = n.scopeLinks[:0]
 	for _, l := range n.wholeLinks {
 		l.startFill(len(l.flows))
-		pathSum += len(l.flows)
 		scopeL = append(scopeL, l)
 	}
+	for _, e := range log[:start] {
+		e.f.frozen = true
+		for _, pl := range e.f.path {
+			pl.residual -= e.share
+			if pl.residual < 0 {
+				pl.residual = 0
+			}
+			pl.nActive--
+		}
+	}
+	scopeF = n.scopeFlows[:0]
+	for _, e := range log[start:] {
+		if f := e.f; f.active {
+			f.frozen = false
+			f.newRate = 0
+			pathSum += len(f.path)
+			scopeF = append(scopeF, f)
+		}
+	}
+	clear(log[start:])
+	n.flog = log[:start]
 	return scopeF, scopeL, pathSum
 }
 
@@ -343,7 +391,7 @@ func scanFits(links, pathSum int) bool {
 // bit-identical rates.
 func (n *Network) fillComponent(scopeF []*Flow, scopeL []*Link, pathSum int) {
 	if scanFits(len(scopeL), pathSum) {
-		fillScan(scopeF, scopeL)
+		n.fillScan(scopeF, scopeL)
 	} else {
 		n.fillHeap(scopeF, scopeL)
 	}
@@ -406,8 +454,10 @@ func fillOracle(scopeF []*Flow) {
 // freezes the flows crossing it. Freezing via the link's flow list
 // instead of a scopeF rescan is value-identical: every frozen flow
 // gets the same share, and the residual decrements it applies commute
-// bitwise (same subtrahend, integer nActive).
-func fillScan(scopeF []*Flow, scopeL []*Link) {
+// bitwise (same subtrahend, integer nActive). Each freeze is appended
+// to the fill log.
+func (n *Network) fillScan(scopeF []*Flow, scopeL []*Link) {
+	log := n.flog
 	unfrozen := len(scopeF)
 	for unfrozen > 0 {
 		share := math.Inf(1)
@@ -424,6 +474,7 @@ func fillScan(scopeF []*Flow, scopeL []*Link) {
 		if bottleneck == nil {
 			break
 		}
+		round := len(log)
 		for _, ref := range bottleneck.flows {
 			f := ref.f
 			if f.frozen {
@@ -432,6 +483,7 @@ func fillScan(scopeF []*Flow, scopeL []*Link) {
 			f.frozen = true
 			unfrozen--
 			f.newRate = share
+			log = append(log, freeze{f, share, round})
 			for _, pl := range f.path {
 				pl.residual -= share
 				if pl.residual < 0 {
@@ -441,6 +493,7 @@ func fillScan(scopeF []*Flow, scopeL []*Link) {
 			}
 		}
 	}
+	n.flog = log
 }
 
 // fillHeap is fillScan with the bottleneck taken off the indexed
@@ -449,12 +502,15 @@ func fillScan(scopeF []*Flow, scopeL []*Link) {
 // exact link the scan would pick and the freezes are the same float
 // operations. Each path entry of a frozen flow costs one O(log links)
 // re-key, and each link leaves the heap once its nActive reaches zero.
+// Each freeze is appended to the fill log.
 func (n *Network) fillHeap(scopeF []*Flow, scopeL []*Link) {
 	n.hheapInit(scopeL)
+	log := n.flog
 	unfrozen := len(scopeF)
 	for unfrozen > 0 && len(n.hheap) > 0 {
 		bottleneck := n.hheap[0]
 		share := bottleneck.hshare
+		round := len(log)
 		for _, ref := range bottleneck.flows {
 			f := ref.f
 			if f.frozen {
@@ -463,6 +519,7 @@ func (n *Network) fillHeap(scopeF []*Flow, scopeL []*Link) {
 			f.frozen = true
 			unfrozen--
 			f.newRate = share
+			log = append(log, freeze{f, share, round})
 			for _, pl := range f.path {
 				pl.residual -= share
 				if pl.residual < 0 {
@@ -481,6 +538,7 @@ func (n *Network) fillHeap(scopeF []*Flow, scopeL []*Link) {
 			}
 		}
 	}
+	n.flog = log
 }
 
 // rescheduleCompletion keeps exactly one engine event pending, at the
@@ -507,7 +565,7 @@ func (n *Network) rescheduleCompletion() {
 		n.eng.Cancel(n.nextEv)
 	}
 	n.nextAt = top.finishAt
-	n.nextEv = n.eng.At(top.finishAt, n.onCompletionEvent)
+	n.nextEv = n.eng.At(top.finishAt, n.completionFn)
 }
 
 // --- completion min-heap, keyed (finishAt, ord) ---------------------------

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 )
@@ -90,4 +91,35 @@ func TestSettleSteadyStateZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDrainAllocsPerSettle gates the engine-driven settle, not only its
+// compute core: over the drain of the 32-machine dense All-to-All,
+// where almost every settle resumes the whole-set fill
+// (TestDenseDrainReusesWholeSet), a settle allocates only the two
+// sim.Events it schedules, its own and the next completion's. The
+// trigger and retirement lists, the fill log and the bound method
+// values are all reused; the few growths of the reused buffers amortise
+// over the ~990 settles, inside the bound's 0.05.
+func TestDrainAllocsPerSettle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under the race runtime")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var perSettle float64
+	for attempt := 0; attempt < 3; attempt++ {
+		topo := newBenchTopo(32, 8)
+		topo.net.StartFlows(topo.allToAllSpecs(0, 1e6))
+		topo.eng.RunUntil(topo.eng.Now()) // activation and the admission settle
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		settles := drainSettles(topo)
+		runtime.ReadMemStats(&after)
+		perSettle = float64(after.Mallocs-before.Mallocs) / float64(settles)
+		if perSettle <= 2.05 {
+			t.Logf("%.3f allocations per settle over %d settles", perSettle, settles)
+			return
+		}
+	}
+	t.Fatalf("%.3f allocations per settle over the drain, want at most 2.05", perSettle)
 }

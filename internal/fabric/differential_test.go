@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"janus/internal/sim"
@@ -261,8 +262,12 @@ func requireBitIdentical(t *testing.T, tag string, want, got progResult) {
 // reproduce every committed rate; checking it after every settle shows
 // that a run forced through this fill would take the identical
 // trajectory — same rates at every instant, hence the same completion
-// instants and link bytes.
+// instants and link bytes. The re-fill logs into a scratch log and
+// restores the settle's, so the next settle can still resume from it.
 func refillMismatch(net *Network, fill func(scopeF []*Flow, scopeL []*Link)) *Flow {
+	saved := net.flog
+	net.flog = nil
+	defer func() { net.flog = saved }()
 	scopeF, scopeL, _ := net.scopeComponent(net.links)
 	fill(scopeF, scopeL)
 	var bad *Flow
@@ -279,11 +284,25 @@ func refillMismatch(net *Network, fill func(scopeF []*Flow, scopeL []*Link)) *Fl
 
 // requireFillsAgree is a runProgram check: both exact fills, run
 // directly whatever the size selector would pick, reproduce the
-// committed rates bitwise.
+// committed rates bitwise. After a whole-set settle, the fresh fill must
+// also leave every kept link's residual as the settle left it, so a
+// resume whose replay drifted from the fill it repeats fails even where
+// no rate shows it.
 func requireFillsAgree(t *testing.T, tag string) func(*Network) {
 	return func(net *Network) {
-		if f := refillMismatch(net, fillScan); f != nil {
+		var kept []float64
+		if net.wholeValid {
+			for _, l := range net.wholeLinks {
+				kept = append(kept, l.residual)
+			}
+		}
+		if f := refillMismatch(net, net.fillScan); f != nil {
 			t.Fatalf("%s: fillScan re-fill of %q = %v, committed %v", tag, f.name, f.newRate, f.rate)
+		}
+		for i, want := range kept {
+			if l := net.wholeLinks[i]; math.Float64bits(l.residual) != math.Float64bits(want) {
+				t.Fatalf("%s: fillScan re-fill leaves link %d a residual of %v, the settle %v", tag, l.index, l.residual, want)
+			}
 		}
 		if f := refillMismatch(net, net.fillHeap); f != nil {
 			t.Fatalf("%s: fillHeap re-fill of %q = %v, committed %v", tag, f.name, f.newRate, f.rate)
@@ -345,7 +364,7 @@ func TestWideSettleForcedScanMatches(t *testing.T) {
 	}
 	topo := newBenchTopo(256, 64)
 	runRounds(topo, 2, func(r int) []FlowSpec { return topo.sparseA2ASpecs(r, 8, 1e6) }, func(net *Network) {
-		if f := refillMismatch(net, fillScan); f != nil {
+		if f := refillMismatch(net, net.fillScan); f != nil {
 			t.Fatalf("t=%v: fillScan re-fill of %q = %v, production committed %v", net.eng.Now(), f.name, f.newRate, f.rate)
 		}
 	})
@@ -407,30 +426,36 @@ func TestStartFlowsMatchesSingleAdmission(t *testing.T) {
 	}
 }
 
-// TestDenseDrainReusesWholeSet pins that the whole-set scope fires and
-// is checked. A 32-machine dense All-to-All on 8 trunks is one
+// drainSettles runs topo's engine dry and counts the settles it runs.
+func drainSettles(topo *benchTopo) (settles int) {
+	for {
+		pending := topo.net.settlePending
+		if !topo.eng.Step() {
+			return settles
+		}
+		if pending && !topo.net.settlePending {
+			settles++
+		}
+	}
+}
+
+// TestDenseDrainReusesWholeSet pins that the resumed whole-set fill
+// fires and is checked. A 32-machine dense All-to-All on 8 trunks is one
 // component: its admission settle covers every active flow, and each
-// later instant only retires flows, so most settles must scope the
-// active list directly (scopeWhole) instead of walking the component
-// again. The drain must also match the oracle bit for bit, so a
-// whole-set settle that dropped a link or a flow from its scope fails
-// here, not only in the random differentials.
+// later instant only retires flows, so most settles must resume the
+// last fill from its log (scopeResume) instead of walking the component
+// and filling it again. The drain must also match the oracle bit for
+// bit, so a resume that dropped a link or a flow from its scope, or
+// replayed a round it should refill, fails here, not only in the random
+// differentials.
 func TestDenseDrainReusesWholeSet(t *testing.T) {
-	drain := func(oracle bool) (settles, whole int, finish, carried []float64) {
+	drain := func(oracle bool) (settles, resumes int, finish, carried []float64) {
 		topo := newBenchTopo(32, 8)
 		if oracle {
 			topo.net.UseOracle()
 		}
 		flows := topo.net.StartFlows(topo.allToAllSpecs(0, 1e6))
-		for {
-			pending := topo.net.settlePending
-			if !topo.eng.Step() {
-				break
-			}
-			if pending && !topo.net.settlePending {
-				settles++
-			}
-		}
+		settles = drainSettles(topo)
 		for _, f := range flows {
 			finish = append(finish, f.FinishedAt())
 		}
@@ -442,15 +467,18 @@ func TestDenseDrainReusesWholeSet(t *testing.T) {
 			// carrying a flow, so the scope shrinks as the wave drains.
 			t.Errorf("drained network keeps %d links for the next whole-set scope, want 0", kept)
 		}
-		return settles, topo.net.wholeSettles, finish, carried
+		if logged := len(topo.net.flog); logged != 0 && !oracle {
+			t.Errorf("drained network keeps %d fill-log entries, want 0", logged)
+		}
+		return settles, topo.net.resumes, finish, carried
 	}
-	settles, whole, finish, carried := drain(false)
-	if 10*whole < 9*settles {
-		t.Errorf("%d of %d settles took the whole-set scope, want at least 90%%", whole, settles)
+	settles, resumes, finish, carried := drain(false)
+	if 10*resumes < 9*settles {
+		t.Errorf("%d of %d settles resumed the whole-set fill, want at least 90%%", resumes, settles)
 	}
-	_, oracleWhole, oracleFinish, oracleCarried := drain(true)
-	if oracleWhole != 0 {
-		t.Errorf("oracle run took the whole-set scope %d times", oracleWhole)
+	_, oracleResumes, oracleFinish, oracleCarried := drain(true)
+	if oracleResumes != 0 {
+		t.Errorf("oracle run resumed %d times", oracleResumes)
 	}
 	if i, ok := bitEqual(oracleFinish, finish); !ok {
 		t.Fatalf("completion time diverges at flow %d: oracle %v, settle %v", i, oracleFinish[i], finish[i])
@@ -458,5 +486,66 @@ func TestDenseDrainReusesWholeSet(t *testing.T) {
 	if i, ok := bitEqual(oracleCarried, carried); !ok {
 		t.Fatalf("carried bytes diverge at link %d: oracle %v, settle %v", i, oracleCarried[i], carried[i])
 	}
-	t.Logf("%d of %d settles reused the whole set", whole, settles)
+	t.Logf("%d of %d settles resumed the whole-set fill", resumes, settles)
+}
+
+// TestSparseDrainResumes pins the resume on the wide shape: the
+// 256-machine sparse All-to-All fused by 64 trunks is one component
+// that takes the heap fill (TestFillSelector), and at least 90 % of its
+// drain's settles must resume from the fill log. Its rates are checked
+// against a fresh fill after every settle by
+// TestWideSettleForcedScanMatches.
+func TestSparseDrainResumes(t *testing.T) {
+	topo := newBenchTopo(256, 64)
+	topo.net.StartFlows(topo.sparseA2ASpecs(0, 8, 1e6))
+	settles := drainSettles(topo)
+	if r := topo.net.resumes; 10*r < 9*settles {
+		t.Errorf("%d of %d settles resumed the whole-set fill, want at least 90%%", r, settles)
+	}
+	t.Logf("%d of %d settles resumed the whole-set fill", topo.net.resumes, settles)
+}
+
+// TestResumeRefillsWholeRound retires a flow that froze in the same
+// fill round as a flow logged before it. Link m (1 GB/s) is the first
+// bottleneck and freezes c, which also crosses l (4 GB/s); l then
+// freezes a and b at 1.5 GB/s each, in that log order. When b
+// finishes, the settle resumes: it replays c's round and fills a's
+// again, since b's retirement changes the share of the round they
+// shared. Resuming at b's own log entry instead would replay a at its
+// old 1.5 GB/s.
+func TestResumeRefillsWholeRound(t *testing.T) {
+	run := func(oracle bool) (rates, finish []float64, resumes int) {
+		eng := sim.NewEngine()
+		net := NewNetwork(eng)
+		if oracle {
+			net.UseOracle()
+		}
+		m := net.NewLink("m", "test", 1e9, 0)
+		l := net.NewLink("l", "test", 4e9, 0)
+		flows := net.StartFlows([]FlowSpec{
+			{Name: "c", Size: 1e10, Path: []*Link{m, l}},
+			{Name: "a", Size: 1e10, Path: []*Link{l}},
+			{Name: "b", Size: 1.5e9, Path: []*Link{l}},
+		})
+		eng.RunUntil(1.5) // b finishes at t=1
+		for _, f := range flows {
+			rates = append(rates, f.Rate())
+		}
+		eng.Run()
+		for _, f := range flows {
+			finish = append(finish, f.FinishedAt())
+		}
+		return rates, finish, net.resumes
+	}
+	rates, finish, resumes := run(false)
+	if want := []float64{1e9, 3e9, 0}; !slices.Equal(rates, want) {
+		t.Fatalf("rates after b retires = %v, want %v", rates, want)
+	}
+	if resumes == 0 {
+		t.Fatal("b's retirement did not resume the fill")
+	}
+	_, oracleFinish, _ := run(true)
+	if i, ok := bitEqual(oracleFinish, finish); !ok {
+		t.Fatalf("completion time diverges at flow %d: oracle %v, settle %v", i, oracleFinish[i], finish[i])
+	}
 }

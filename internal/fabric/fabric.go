@@ -30,8 +30,10 @@
 // actually perturbed, filled by a scan or an indexed bottleneck heap
 // whichever the component's size makes cheaper. When the last settle
 // already covered every active flow and only retirements came since
-// (the drain of a dense All-to-All), the settle reuses that whole set
-// instead of walking the component again, and it recomputes a link's
+// (the drain of an All-to-All), the settle neither walks the component
+// nor fills it from the start: it replays the last fill's logged
+// freezes up to the first round that froze a retiring flow and fills
+// only the flows of the later rounds. Every settle recomputes a link's
 // rate sums only where a flow joined, left or changed rate. Flow and
 // link byte accounting is anchor-based (see alloc.go), so nothing is
 // integrated eagerly per event; completions are tracked in a min-heap
@@ -222,10 +224,16 @@ type Network struct {
 	ordCtr  uint64
 
 	// settle batching: all arrivals/completions at one instant mark
-	// trigger links and are resolved by a single settle event.
+	// trigger links and are resolved by a single settle event. A settle
+	// swaps each list with its spare, so both are reused; settleFn and
+	// completionFn are n.settle and n.onCompletionEvent, bound once.
 	settlePending bool
 	trigLinks     []*Link
 	pendingDone   []*Flow
+	trigSpare     []*Link
+	doneSpare     []*Flow
+	settleFn      func()
+	completionFn  func()
 
 	// completion tracking: min-heap keyed (finishAt, ord) plus the one
 	// scheduled engine event for the heap minimum.
@@ -240,26 +248,28 @@ type Network struct {
 	bfsQueue   []*Link
 	hheap      []*Link
 
-	// whole-set reuse (see scopeWhole): wholeValid says the last settle's
-	// scope was every active flow and no flow has activated since;
-	// wholeLinks are that scope's links still carrying a flow.
-	// wholeSettles counts the settles that reused them; only tests read it.
-	wholeValid   bool
-	wholeLinks   []*Link
-	wholeSettles int
+	// fill log: every freeze of the last fill, round by round (see
+	// scopeResume). wholeValid says the last settle's scope was every
+	// active flow and no flow has activated since, so the log holds the
+	// fill of the whole active set; wholeLinks are that scope's links
+	// still carrying a flow. resumes counts the settles that resumed
+	// from the log; only tests read it.
+	flog       []freeze
+	wholeValid bool
+	wholeLinks []*Link
+	resumes    int
 
 	// oracle routes every settle through the naive reference fill; only
 	// the package's tests set it (see export_test.go).
 	oracle bool
-
-	// OnFlowDone, if set, is invoked for every completed flow after its
-	// own onComplete callback. Used by the metrics recorder.
-	OnFlowDone func(*Flow)
 }
 
 // NewNetwork returns an empty network bound to eng.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{eng: eng}
+	n := &Network{eng: eng}
+	n.settleFn = n.settle
+	n.completionFn = n.onCompletionEvent
+	return n
 }
 
 // Engine returns the simulation engine the network is bound to.
@@ -465,7 +475,7 @@ func (n *Network) ensureSettle() {
 		return
 	}
 	n.settlePending = true
-	n.eng.After(0, n.settle)
+	n.eng.After(0, n.settleFn)
 }
 
 // compact removes completed flows from the ord-ordered active slice.
@@ -497,8 +507,5 @@ func (n *Network) finish(f *Flow) {
 	f.finished = n.eng.Now()
 	if f.onComplete != nil {
 		f.onComplete(f)
-	}
-	if n.OnFlowDone != nil {
-		n.OnFlowDone(f)
 	}
 }
