@@ -580,9 +580,11 @@ func (ms *machineSched) gradArrive(k expertKey) {
 	n := ms.gradArrived[k]
 	// The reduce+push pipeline counts as one outstanding delivery from
 	// the moment the last contribution lands, so the iteration cannot
-	// appear finished while the CPU is still reducing.
+	// appear finished while the CPU is still reducing. Nothing reads a
+	// machine CPU's work names (no span hook), so every pre-reduce
+	// shares one.
 	r.pendingGrads++
-	ms.m.CPU.Submit(fmt.Sprintf("prereduce.b%d.e%d", k.block, k.expert),
+	ms.m.CPU.Submit("prereduce",
 		r.costs.GradReduce(n), func() {
 			owner := r.c.GPU(r.ownerOf(k.block, k.expert))
 			via := k.expert % len(ms.m.Switches)

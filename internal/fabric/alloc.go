@@ -27,9 +27,13 @@
 //     its residual over a smaller unfrozen count, so its (share, index)
 //     key can only grow (its residual is positive while it has unfrozen
 //     flows, or the zero-goodput panic below fires); no other key moves.
-//     Those rounds therefore repeat bit for bit, and replaying their
-//     logged freezes — the same residual steps in the same order — puts
-//     every link where a fresh fill would be when it reaches that round.
+//     Those rounds therefore repeat bit for bit, so the resume restores
+//     rather than replays them: each link a later round crosses takes
+//     the residual logged just before the first later freeze that
+//     crossed it, the result of the same clamped steps in log order (a
+//     log entry's predecessors never change while it is kept), and an
+//     unfrozen count of the still-active later flows that cross it. That
+//     is where a fresh fill has every link when it reaches the round.
 //     The round is the unit: its share changes, so every flow it froze
 //     is filled again.
 //
@@ -61,7 +65,6 @@ import (
 // changed, reschedules the completion event, and fires the completion
 // callbacks of flows retired at this instant.
 func (n *Network) settle() {
-	n.settlePending = false
 	now := n.eng.Now()
 	finished, trig := n.pendingDone, n.trigLinks
 	n.pendingDone, n.trigLinks = n.doneSpare, n.trigSpare
@@ -76,7 +79,7 @@ func (n *Network) settle() {
 	} else {
 		var pathSum int
 		if n.wholeValid {
-			scopeF, scopeL, pathSum = n.scopeResume()
+			scopeF, scopeL, pathSum = n.scopeResume(finished)
 		} else {
 			scopeF, scopeL, pathSum = n.scopeComponent(trig)
 		}
@@ -148,20 +151,10 @@ func (n *Network) settle() {
 		}
 	}
 
-	// A scope of every active flow (or a resume, which refilled the
-	// rest of it) holds every link that carries one; keep those (a link
-	// emptied at this instant had its sums zeroed above) for the next
-	// settle, which may resume if only retirements come before it.
+	// After a scope of every active flow (or a resume, which refilled
+	// the rest of it) the log holds the fill of the whole active set, so
+	// the next settle may resume if only retirements come before it.
 	n.wholeValid = n.wholeValid || len(scopeF) == n.nActive
-	if n.wholeValid {
-		keep := n.wholeLinks[:0]
-		for _, l := range scopeL {
-			if len(l.flows) > 0 {
-				keep = append(keep, l)
-			}
-		}
-		n.wholeLinks = keep
-	}
 	n.scopeFlows = scopeF[:0]
 	n.scopeLinks = scopeL[:0]
 
@@ -214,6 +207,7 @@ func (n *Network) scopeOracle(trig []*Link) ([]*Flow, []*Link) {
 func (n *Network) scopeComponent(trig []*Link) (scopeF []*Flow, scopeL []*Link, pathSum int) {
 	clear(n.flog)
 	n.flog = n.flog[:0]
+	n.fpre = n.fpre[:0]
 	n.compGen++
 	gen := n.compGen
 	scopeF = n.scopeFlows[:0]
@@ -257,57 +251,62 @@ func (n *Network) scopeComponent(trig []*Link) (scopeF []*Flow, scopeL []*Link, 
 	return scopeF, scopeL, pathSum
 }
 
-// freeze is one fill-log entry: f froze at share in the round whose
-// first entry is at log index round.
+// freeze is one fill-log entry: f froze in the round whose first entry
+// is at log index round, and fpre[pre+i] is the residual f.path[i] had
+// just before.
 type freeze struct {
 	f     *Flow
-	share float64
 	round int
+	pre   int
 }
 
 // scopeResume is the scope of a settle that follows a whole-set settle
-// with only retirements in between (invariant 1). The log holds that
-// settle's fill of every then-active flow. The rounds before the first
-// one that froze a now-retired flow are replayed from it, the same
-// clamped residual steps in log order; the scope is the still-active
-// flows of the later rounds, over the links that settle left carrying a
-// flow. Those links hold this instant's triggers, because every retired
-// flow was active when they were kept. Like scopeComponent, it resets
-// the fill state and sums the scope's path lengths, and it cuts the log
-// to the replayed rounds, clearing the tail so it keeps no retired flow.
-func (n *Network) scopeResume() (scopeF []*Flow, scopeL []*Link, pathSum int) {
+// with only retirements in between (invariant 1). The log holds the fill
+// of every flow active at that settle, the finished ones included, each
+// at its logIdx. The fill restarts at the earliest round that froze a
+// finished flow; the scope is the still-active flows of that round and
+// the later ones, over every link their entries cross (the retired
+// flows' too, so it holds this instant's triggers). A link takes the
+// residual logged at its first entry there: no entry between the start
+// and that one crosses it, so it is the residual a fresh fill gives it
+// at the start. Its unfrozen count is counted from the scope, never
+// logged: a retirement whose resume started later leaves a logged count
+// before that start stale. Like scopeComponent, it resets the fill state
+// and sums the scope's path lengths, and it cuts both logs at the start,
+// clearing the tail so it keeps no retired flow.
+func (n *Network) scopeResume(finished []*Flow) (scopeF []*Flow, scopeL []*Link, pathSum int) {
 	n.resumes++
 	log := n.flog
 	start := len(log)
-	for _, e := range log {
-		if !e.f.active {
-			start = e.round
-			break
-		}
+	for _, f := range finished {
+		start = min(start, log[f.logIdx].round)
 	}
-	scopeL = n.scopeLinks[:0]
-	for _, l := range n.wholeLinks {
-		l.startFill(len(l.flows))
-		scopeL = append(scopeL, l)
-	}
-	for _, e := range log[:start] {
-		e.f.frozen = true
-		for _, pl := range e.f.path {
-			pl.residual -= e.share
-			if pl.residual < 0 {
-				pl.residual = 0
-			}
-			pl.nActive--
-		}
-	}
+	n.compGen++
+	gen := n.compGen
 	scopeF = n.scopeFlows[:0]
+	scopeL = n.scopeLinks[:0]
 	for _, e := range log[start:] {
-		if f := e.f; f.active {
+		f := e.f
+		for i, pl := range f.path {
+			if pl.compGen != gen {
+				pl.compGen = gen
+				pl.residual = n.fpre[e.pre+i]
+				pl.nActive = 0
+				scopeL = append(scopeL, pl)
+			}
+			if f.active {
+				pl.nActive++
+			}
+		}
+		if f.active {
 			f.frozen = false
 			f.newRate = 0
 			pathSum += len(f.path)
 			scopeF = append(scopeF, f)
 		}
+	}
+	if start < len(log) {
+		n.fpre = n.fpre[:log[start].pre]
 	}
 	clear(log[start:])
 	n.flog = log[:start]
@@ -454,10 +453,8 @@ func fillOracle(scopeF []*Flow) {
 // freezes the flows crossing it. Freezing via the link's flow list
 // instead of a scopeF rescan is value-identical: every frozen flow
 // gets the same share, and the residual decrements it applies commute
-// bitwise (same subtrahend, integer nActive). Each freeze is appended
-// to the fill log.
+// bitwise (same subtrahend, integer nActive).
 func (n *Network) fillScan(scopeF []*Flow, scopeL []*Link) {
-	log := n.flog
 	unfrozen := len(scopeF)
 	for unfrozen > 0 {
 		share := math.Inf(1)
@@ -474,63 +471,60 @@ func (n *Network) fillScan(scopeF []*Flow, scopeL []*Link) {
 		if bottleneck == nil {
 			break
 		}
-		round := len(log)
-		for _, ref := range bottleneck.flows {
-			f := ref.f
-			if f.frozen {
-				continue
+		unfrozen -= n.freezeRound(bottleneck, share)
+	}
+}
+
+// freezeRound is one round of either fill: it freezes every unfrozen
+// flow crossing bottleneck at share and returns how many it froze. Each
+// freeze is appended to the fill log, and the residual each of its path
+// links had just before it to fpre. A round that froze no flow would
+// leave every key as it was and repeat forever, so it panics instead.
+func (n *Network) freezeRound(bottleneck *Link, share float64) int {
+	log, pre := n.flog, n.fpre
+	round := len(log)
+	for _, ref := range bottleneck.flows {
+		f := ref.f
+		if f.frozen {
+			continue
+		}
+		f.frozen = true
+		f.newRate = share
+		f.logIdx = len(log)
+		log = append(log, freeze{f, round, len(pre)})
+		for _, pl := range f.path {
+			pre = append(pre, pl.residual)
+			pl.residual -= share
+			if pl.residual < 0 {
+				pl.residual = 0
 			}
-			f.frozen = true
-			unfrozen--
-			f.newRate = share
-			log = append(log, freeze{f, share, round})
-			for _, pl := range f.path {
-				pl.residual -= share
-				if pl.residual < 0 {
-					pl.residual = 0
-				}
-				pl.nActive--
-			}
+			pl.nActive--
+			pl.allocVer++
 		}
 	}
-	n.flog = log
+	if len(log) == round {
+		panic(fmt.Sprintf("fabric: fill round at link %q froze no flow", bottleneck.name))
+	}
+	n.flog, n.fpre = log, pre
+	return len(log) - round
 }
 
 // fillHeap is fillScan with the bottleneck taken off the indexed
 // (share, index) link heap instead of a rescan. Every link a freeze
 // batch touches is re-keyed before the next pop, so the top is the
 // exact link the scan would pick and the freezes are the same float
-// operations. Each path entry of a frozen flow costs one O(log links)
-// re-key, and each link leaves the heap once its nActive reaches zero.
-// Each freeze is appended to the fill log.
+// operations. Each path entry of a flow the round froze (its log
+// entries) costs one O(log links) re-key, and each link leaves the heap
+// once its nActive reaches zero.
 func (n *Network) fillHeap(scopeF []*Flow, scopeL []*Link) {
 	n.hheapInit(scopeL)
-	log := n.flog
 	unfrozen := len(scopeF)
 	for unfrozen > 0 && len(n.hheap) > 0 {
 		bottleneck := n.hheap[0]
-		share := bottleneck.hshare
-		round := len(log)
-		for _, ref := range bottleneck.flows {
-			f := ref.f
-			if f.frozen {
-				continue
-			}
-			f.frozen = true
-			unfrozen--
-			f.newRate = share
-			log = append(log, freeze{f, share, round})
-			for _, pl := range f.path {
-				pl.residual -= share
-				if pl.residual < 0 {
-					pl.residual = 0
-				}
-				pl.nActive--
-				pl.allocVer++
-			}
-		}
-		for _, ref := range bottleneck.flows {
-			for _, pl := range ref.f.path {
+		round := len(n.flog)
+		unfrozen -= n.freezeRound(bottleneck, bottleneck.hshare)
+		for _, e := range n.flog[round:] {
+			for _, pl := range e.f.path {
 				if pl.pushVer != pl.allocVer {
 					pl.pushVer = pl.allocVer
 					n.hheapFix(pl)
@@ -538,17 +532,13 @@ func (n *Network) fillHeap(scopeF []*Flow, scopeL []*Link) {
 			}
 		}
 	}
-	n.flog = log
 }
 
 // rescheduleCompletion keeps exactly one engine event pending, at the
 // completion heap's minimum predicted finish time.
 func (n *Network) rescheduleCompletion() {
 	if len(n.fheap) == 0 {
-		if n.nextEv != nil {
-			n.eng.Cancel(n.nextEv)
-			n.nextEv = nil
-		}
+		n.eng.Cancel(n.nextEv)
 		if n.nActive > 0 {
 			// Active flows with zero rate can only happen if filling
 			// terminated without freezing everything, which progressive
@@ -557,15 +547,9 @@ func (n *Network) rescheduleCompletion() {
 		}
 		return
 	}
-	top := n.fheap[0]
-	if n.nextEv != nil && n.nextAt == top.finishAt {
-		return
+	if at := n.fheap[0].finishAt; !n.nextEv.Pending() || n.nextEv.At() != at {
+		n.eng.Schedule(n.nextEv, at)
 	}
-	if n.nextEv != nil {
-		n.eng.Cancel(n.nextEv)
-	}
-	n.nextAt = top.finishAt
-	n.nextEv = n.eng.At(top.finishAt, n.completionFn)
 }
 
 // --- completion min-heap, keyed (finishAt, ord) ---------------------------

@@ -150,7 +150,7 @@ type progResult struct {
 // rates are a finished max-min allocation.
 func drainChecked(net *Network, check ...func(*Network)) {
 	for net.eng.Step() {
-		if len(check) > 0 && !net.settlePending {
+		if len(check) > 0 && !net.settleEv.Pending() {
 			check[0](net)
 		}
 	}
@@ -262,15 +262,20 @@ func requireBitIdentical(t *testing.T, tag string, want, got progResult) {
 // reproduce every committed rate; checking it after every settle shows
 // that a run forced through this fill would take the identical
 // trajectory — same rates at every instant, hence the same completion
-// instants and link bytes. The re-fill logs into a scratch log and
-// restores the settle's, so the next settle can still resume from it.
-func refillMismatch(net *Network, fill func(scopeF []*Flow, scopeL []*Link)) *Flow {
-	saved := net.flog
-	net.flog = nil
-	defer func() { net.flog = saved }()
+// instants and link bytes. The re-fill logs into scratch logs, which it
+// returns, and restores the settle's logs and log indices, so the next
+// settle can still resume from them.
+func refillMismatch(net *Network, fill func(scopeF []*Flow, scopeL []*Link)) (bad *Flow, log []freeze, pre []float64) {
+	savedLog, savedPre := net.flog, net.fpre
+	net.flog, net.fpre = nil, nil
+	defer func() {
+		net.flog, net.fpre = savedLog, savedPre
+		for i, e := range savedLog {
+			e.f.logIdx = i
+		}
+	}()
 	scopeF, scopeL, _ := net.scopeComponent(net.links)
 	fill(scopeF, scopeL)
-	var bad *Flow
 	for _, f := range scopeF {
 		if math.Float64bits(f.newRate) != math.Float64bits(f.rate) {
 			bad = f
@@ -279,32 +284,38 @@ func refillMismatch(net *Network, fill func(scopeF []*Flow, scopeL []*Link)) *Fl
 	}
 	net.scopeFlows = scopeF[:0]
 	net.scopeLinks = scopeL[:0]
-	return bad
+	return bad, net.flog, net.fpre
 }
 
 // requireFillsAgree is a runProgram check: both exact fills, run
 // directly whatever the size selector would pick, reproduce the
-// committed rates bitwise. After a whole-set settle, the fresh fill must
-// also leave every kept link's residual as the settle left it, so a
-// resume whose replay drifted from the fill it repeats fails even where
-// no rate shows it.
+// committed rates bitwise. After a whole-set settle, every logged flow
+// must record its own log index, and the fresh scan fill must log the
+// same flows in the same rounds and order, with the same pre-freeze
+// residuals bit for bit, so a resume that restored a link wrongly, or
+// cut a log in the wrong place, fails even where no rate shows it.
 func requireFillsAgree(t *testing.T, tag string) func(*Network) {
 	return func(net *Network) {
-		var kept []float64
 		if net.wholeValid {
-			for _, l := range net.wholeLinks {
-				kept = append(kept, l.residual)
+			for i, e := range net.flog {
+				if e.f.logIdx != i {
+					t.Fatalf("%s: flow %q is logged at %d but records log index %d", tag, e.f.name, i, e.f.logIdx)
+				}
 			}
 		}
-		if f := refillMismatch(net, net.fillScan); f != nil {
+		f, log, pre := refillMismatch(net, net.fillScan)
+		if f != nil {
 			t.Fatalf("%s: fillScan re-fill of %q = %v, committed %v", tag, f.name, f.newRate, f.rate)
 		}
-		for i, want := range kept {
-			if l := net.wholeLinks[i]; math.Float64bits(l.residual) != math.Float64bits(want) {
-				t.Fatalf("%s: fillScan re-fill leaves link %d a residual of %v, the settle %v", tag, l.index, l.residual, want)
+		if net.wholeValid {
+			if !slices.Equal(log, net.flog) {
+				t.Fatalf("%s: fillScan re-fill's log differs from the settle's (%d vs %d entries)", tag, len(log), len(net.flog))
+			}
+			if i, ok := bitEqual(pre, net.fpre); !ok {
+				t.Fatalf("%s: fillScan re-fill logs %d pre-freeze residuals, the settle %d; first difference at %d (-1: the lengths)", tag, len(pre), len(net.fpre), i)
 			}
 		}
-		if f := refillMismatch(net, net.fillHeap); f != nil {
+		if f, _, _ := refillMismatch(net, net.fillHeap); f != nil {
 			t.Fatalf("%s: fillHeap re-fill of %q = %v, committed %v", tag, f.name, f.newRate, f.rate)
 		}
 	}
@@ -364,7 +375,7 @@ func TestWideSettleForcedScanMatches(t *testing.T) {
 	}
 	topo := newBenchTopo(256, 64)
 	runRounds(topo, 2, func(r int) []FlowSpec { return topo.sparseA2ASpecs(r, 8, 1e6) }, func(net *Network) {
-		if f := refillMismatch(net, net.fillScan); f != nil {
+		if f, _, _ := refillMismatch(net, net.fillScan); f != nil {
 			t.Fatalf("t=%v: fillScan re-fill of %q = %v, production committed %v", net.eng.Now(), f.name, f.newRate, f.rate)
 		}
 	})
@@ -429,11 +440,11 @@ func TestStartFlowsMatchesSingleAdmission(t *testing.T) {
 // drainSettles runs topo's engine dry and counts the settles it runs.
 func drainSettles(topo *benchTopo) (settles int) {
 	for {
-		pending := topo.net.settlePending
+		pending := topo.net.settleEv.Pending()
 		if !topo.eng.Step() {
 			return settles
 		}
-		if pending && !topo.net.settlePending {
+		if pending && !topo.net.settleEv.Pending() {
 			settles++
 		}
 	}
@@ -446,7 +457,7 @@ func drainSettles(topo *benchTopo) (settles int) {
 // last fill from its log (scopeResume) instead of walking the component
 // and filling it again. The drain must also match the oracle bit for
 // bit, so a resume that dropped a link or a flow from its scope, or
-// replayed a round it should refill, fails here, not only in the random
+// kept a round it should refill, fails here, not only in the random
 // differentials.
 func TestDenseDrainReusesWholeSet(t *testing.T) {
 	drain := func(oracle bool) (settles, resumes int, finish, carried []float64) {
@@ -462,10 +473,10 @@ func TestDenseDrainReusesWholeSet(t *testing.T) {
 		for _, l := range topo.net.links {
 			carried = append(carried, l.CarriedBytes())
 		}
-		if kept := len(topo.net.wholeLinks); kept != 0 {
-			// Each whole settle trims the links it keeps to those still
-			// carrying a flow, so the scope shrinks as the wave drains.
-			t.Errorf("drained network keeps %d links for the next whole-set scope, want 0", kept)
+		if pre := len(topo.net.fpre); pre != 0 {
+			// Each resume cuts the pre-freeze residuals with the log, so
+			// they shrink with it as the wave drains.
+			t.Errorf("drained network keeps %d pre-freeze residuals, want 0", pre)
 		}
 		if logged := len(topo.net.flog); logged != 0 && !oracle {
 			t.Errorf("drained network keeps %d fill-log entries, want 0", logged)
@@ -543,6 +554,69 @@ func TestResumeRefillsWholeRound(t *testing.T) {
 	}
 	if resumes == 0 {
 		t.Fatal("b's retirement did not resume the fill")
+	}
+	_, oracleFinish, _ := run(true)
+	if i, ok := bitEqual(oracleFinish, finish); !ok {
+		t.Fatalf("completion time diverges at flow %d: oracle %v, settle %v", i, oracleFinish[i], finish[i])
+	}
+}
+
+// TestResumeRecountsUnfrozen runs three settles where a logged unfrozen
+// count goes stale. Links a (1 GB/s), b (2 GB/s), l (10 GB/s) and d
+// (100 GB/s) carry x on a, y on b and l, g and w on l, and z on d. The
+// admission fill freezes x on a, then y on b, which logs l's first
+// entry while l has three unfrozen flows, then g and w on l at 4 GB/s,
+// then z. When g finishes (t=1), the resume starts at g's round, after
+// y's entry, and gives w 8 GB/s. When x finishes (t=2), it starts at
+// round 0, where l's first entry is y's. A count logged there would
+// still hold g, freeze w at 4 GB/s and leave l one unfrozen flow that
+// no round can freeze; counted from the scope, l has two and w keeps
+// 8 GB/s.
+func TestResumeRecountsUnfrozen(t *testing.T) {
+	run := func(oracle bool) (rates [][]float64, finish []float64, resumes int) {
+		eng := sim.NewEngine()
+		net := NewNetwork(eng)
+		if oracle {
+			net.UseOracle()
+		}
+		a := net.NewLink("a", "test", 1e9, 0)
+		b := net.NewLink("b", "test", 2e9, 0)
+		l := net.NewLink("l", "test", 10e9, 0)
+		d := net.NewLink("d", "test", 100e9, 0)
+		flows := net.StartFlows([]FlowSpec{
+			{Name: "x", Size: 2e9, Path: []*Link{a}},
+			{Name: "y", Size: 1e12, Path: []*Link{b, l}},
+			{Name: "g", Size: 4e9, Path: []*Link{l}},
+			{Name: "w", Size: 1e12, Path: []*Link{l}},
+			{Name: "z", Size: 1e13, Path: []*Link{d}},
+		})
+		for _, at := range []float64{0.5, 1.5, 2.5} {
+			eng.RunUntil(at)
+			var r []float64
+			for _, f := range flows {
+				r = append(r, f.Rate())
+			}
+			rates = append(rates, r)
+		}
+		eng.Run()
+		for _, f := range flows {
+			finish = append(finish, f.FinishedAt())
+		}
+		return rates, finish, net.resumes
+	}
+	rates, finish, resumes := run(false)
+	want := [][]float64{
+		{1e9, 2e9, 4e9, 4e9, 100e9},
+		{1e9, 2e9, 0, 8e9, 100e9},
+		{0, 2e9, 0, 8e9, 100e9},
+	}
+	for i := range want {
+		if !slices.Equal(rates[i], want[i]) {
+			t.Fatalf("rates after settle %d = %v, want %v", i+1, rates[i], want[i])
+		}
+	}
+	if resumes < 2 {
+		t.Fatalf("%d settles resumed the fill, want the retirements of g and x to", resumes)
 	}
 	_, oracleFinish, _ := run(true)
 	if i, ok := bitEqual(oracleFinish, finish); !ok {

@@ -31,17 +31,19 @@
 // whichever the component's size makes cheaper. When the last settle
 // already covered every active flow and only retirements came since
 // (the drain of an All-to-All), the settle neither walks the component
-// nor fills it from the start: it replays the last fill's logged
-// freezes up to the first round that froze a retiring flow and fills
-// only the flows of the later rounds. Every settle recomputes a link's
-// rate sums only where a flow joined, left or changed rate. Flow and
-// link byte accounting is anchor-based (see alloc.go), so nothing is
-// integrated eagerly per event; completions are tracked in a min-heap
-// of exact predicted finish times. The original naive full-rescan
-// progressive filling stays in the package as the test oracle; the
-// production settle produces bit-identical results (rates, completion
-// times, link utilization), which differential_test.go enforces on
-// seeded random workloads.
+// nor fills it from the start: at the first round of the last fill that
+// froze a retiring flow, it restores each link the later rounds cross
+// from the residual logged before its first freeze there, and fills
+// only the flows of those rounds. Neither a settle nor its two engine
+// events allocate once the reused buffers have grown. Every settle
+// recomputes a link's rate sums only where a flow joined, left or
+// changed rate. Flow and link byte accounting is anchor-based (see
+// alloc.go), so nothing is integrated eagerly per event; completions
+// are tracked in a min-heap of exact predicted finish times. The
+// original naive full-rescan progressive filling stays in the package
+// as the test oracle; the production settle produces bit-identical
+// results (rates, completion times, link utilization), which
+// differential_test.go enforces on seeded random workloads.
 package fabric
 
 import (
@@ -163,10 +165,12 @@ type Flow struct {
 	heapIdx   int   // index in Network.fheap, -1 when not queued
 	posInLink []int // posInLink[i] = index of this flow in path[i].flows
 
-	// settle scratch (see alloc.go)
+	// settle scratch (see alloc.go); logIdx is the flow's entry in
+	// Network.flog since the last fill that froze it.
 	compGen uint64
 	newRate float64
 	frozen  bool
+	logIdx  int
 }
 
 // Name returns the flow's name.
@@ -224,22 +228,20 @@ type Network struct {
 	ordCtr  uint64
 
 	// settle batching: all arrivals/completions at one instant mark
-	// trigger links and are resolved by a single settle event. A settle
-	// swaps each list with its spare, so both are reused; settleFn and
-	// completionFn are n.settle and n.onCompletionEvent, bound once.
-	settlePending bool
-	trigLinks     []*Link
-	pendingDone   []*Flow
-	trigSpare     []*Link
-	doneSpare     []*Flow
-	settleFn      func()
-	completionFn  func()
+	// trigger links and are resolved by a single settle event, settleEv,
+	// pending from the first of them until the settle runs. A settle
+	// swaps each list with its spare, so both are reused.
+	settleEv    *sim.Event
+	trigLinks   []*Link
+	pendingDone []*Flow
+	trigSpare   []*Link
+	doneSpare   []*Flow
 
 	// completion tracking: min-heap keyed (finishAt, ord) plus the one
-	// scheduled engine event for the heap minimum.
+	// engine event, pending at the heap minimum's finish time. Both
+	// events are the Network's own, queued again and again.
 	fheap  []*Flow
 	nextEv *sim.Event
-	nextAt sim.Time
 
 	// settle scratch, reused across settles (see alloc.go)
 	compGen    uint64
@@ -248,15 +250,16 @@ type Network struct {
 	bfsQueue   []*Link
 	hheap      []*Link
 
-	// fill log: every freeze of the last fill, round by round (see
-	// scopeResume). wholeValid says the last settle's scope was every
-	// active flow and no flow has activated since, so the log holds the
-	// fill of the whole active set; wholeLinks are that scope's links
-	// still carrying a flow. resumes counts the settles that resumed
-	// from the log; only tests read it.
+	// fill log: every freeze of the last fill, round by round, and
+	// parallel to it fpre, the residual each frozen flow's path links
+	// had just before it froze (see scopeResume). wholeValid says the
+	// last settle's scope was every active flow and no flow has
+	// activated since, so the log holds the fill of the whole active
+	// set. resumes counts the settles that resumed from the log; only
+	// tests read it.
 	flog       []freeze
+	fpre       []float64
 	wholeValid bool
-	wholeLinks []*Link
 	resumes    int
 
 	// oracle routes every settle through the naive reference fill; only
@@ -267,8 +270,8 @@ type Network struct {
 // NewNetwork returns an empty network bound to eng.
 func NewNetwork(eng *sim.Engine) *Network {
 	n := &Network{eng: eng}
-	n.settleFn = n.settle
-	n.completionFn = n.onCompletionEvent
+	n.settleEv = sim.NewEvent(n.settle)
+	n.nextEv = sim.NewEvent(n.onCompletionEvent)
 	return n
 }
 
@@ -430,7 +433,6 @@ func (n *Network) activate(batch []*Flow) {
 // arrived and requests a settle; completion callbacks run at the end of
 // that settle, after rates are consistent again.
 func (n *Network) onCompletionEvent() {
-	n.nextEv = nil
 	now := n.eng.Now()
 	for len(n.fheap) > 0 && n.fheap[0].finishAt <= now {
 		f := n.popCompletion()
@@ -467,15 +469,13 @@ func (n *Network) removeFromLinks(f *Flow) {
 }
 
 // ensureSettle schedules the single settle event for the current instant
-// if one is not already pending. After(0) gets the largest seq at this
-// instant, so every already-queued same-time arrival/completion fires
-// first and is folded into the one settle.
+// if one is not already pending. Scheduling it now gives it the largest
+// seq at this instant, so every already-queued same-time
+// arrival/completion fires first and is folded into the one settle.
 func (n *Network) ensureSettle() {
-	if n.settlePending {
-		return
+	if !n.settleEv.Pending() {
+		n.eng.Schedule(n.settleEv, n.eng.Now())
 	}
-	n.settlePending = true
-	n.eng.After(0, n.settleFn)
 }
 
 // compact removes completed flows from the ord-ordered active slice.

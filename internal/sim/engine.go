@@ -21,18 +21,26 @@ import (
 // Time is a point in virtual time, in seconds since simulation start.
 type Time = float64
 
-// Event is a scheduled callback. It is returned by At and After so the
-// caller can cancel it before it fires.
+// Event is a scheduled callback. At and After return a new one, which
+// the caller can cancel before it fires. A caller that schedules the
+// same callback again and again can own one (NewEvent) and queue it
+// with Schedule, which allocates nothing.
 type Event struct {
-	at       Time
-	seq      uint64 // FIFO tie-breaker for events at the same instant
-	fn       func()
-	canceled bool
-	index    int // heap index, -1 when not queued
+	at    Time
+	seq   uint64 // FIFO tie-breaker for events at the same instant
+	fn    func()
+	index int // heap index, -1 when not queued
 }
+
+// NewEvent returns an unqueued event that runs fn, for Schedule.
+func NewEvent(fn func()) *Event { return &Event{fn: fn, index: -1} }
 
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
+
+// Pending reports whether the event is queued: neither fired nor
+// cancelled since it was last scheduled.
+func (e *Event) Pending() bool { return e.index >= 0 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
@@ -58,16 +66,30 @@ func (e *Engine) Steps() uint64 { return e.stepped }
 // (t < Now) panics: it always indicates a logic error in a model, and
 // silently clamping would hide it.
 func (e *Engine) At(t Time, fn func()) *Event {
+	ev := NewEvent(fn)
+	e.Schedule(ev, t)
+	return ev
+}
+
+// Schedule queues ev at virtual time t, or moves it there if it is
+// pending; an event that fired or was cancelled may be queued again.
+// Either way ev takes a fresh seq, so it fires after every event already
+// queued for t — the order Cancel(ev) followed by At(t, fn) gives. t is
+// checked as in At.
+func (e *Engine) Schedule(ev *Event, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn, index: -1}
+	ev.at, ev.seq = t, e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	if ev.index >= 0 {
+		heap.Fix(&e.queue, ev.index)
+	} else {
+		heap.Push(&e.queue, ev)
+	}
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
@@ -81,11 +103,7 @@ func (e *Engine) After(d float64, fn func()) *Event {
 // Cancel removes a pending event. Cancelling an event that already fired
 // or was already cancelled is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
-		return
-	}
-	ev.canceled = true
-	if ev.index >= 0 {
+	if ev != nil && ev.index >= 0 {
 		heap.Remove(&e.queue, ev.index)
 		ev.index = -1
 	}
@@ -94,18 +112,15 @@ func (e *Engine) Cancel(ev *Event) {
 // Step executes the next pending event and advances the clock to its
 // timestamp. It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		ev.index = -1
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		e.stepped++
-		ev.fn()
-		return true
+	if e.queue.Len() == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*Event)
+	ev.index = -1
+	e.now = ev.at
+	e.stepped++
+	ev.fn()
+	return true
 }
 
 // Run executes events until none remain.
@@ -117,15 +132,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t (even if no event fired at t).
 func (e *Engine) RunUntil(t Time) {
-	for e.queue.Len() > 0 {
-		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for e.queue.Len() > 0 && e.queue[0].at <= t {
 		e.Step()
 	}
 	if t > e.now {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,52 @@ func TestEngineCancelWhileOthersPending(t *testing.T) {
 	e.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("got %v, want [1 3]", got)
+	}
+}
+
+// TestEngineScheduleReuse queues one caller-owned event again after it
+// fired, after it was cancelled, and while it is pending. Each queueing
+// takes a fresh seq, so the event fires after every event already
+// queued for its instant, the order Cancel followed by At gives.
+func TestEngineScheduleReuse(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, s) } }
+	ev := NewEvent(note("ev"))
+	if ev.Pending() {
+		t.Fatal("a new event is pending")
+	}
+	e.Schedule(ev, 1)
+	e.At(1, note("a"))
+	e.RunUntil(1)
+	if ev.Pending() {
+		t.Fatal("a fired event is pending")
+	}
+	e.At(2, note("b"))
+	e.Schedule(ev, 2) // after it fired
+	e.RunUntil(2)
+	e.Schedule(ev, 3)
+	e.Cancel(ev)
+	if ev.Pending() {
+		t.Fatal("a cancelled event is pending")
+	}
+	e.At(3, note("c"))
+	e.Schedule(ev, 3) // after it was cancelled
+	e.RunUntil(3)
+	e.Schedule(ev, 5)
+	e.At(4, note("d"))
+	e.Schedule(ev, 4) // while pending: moved behind d
+	e.At(4, note("e"))
+	if !ev.Pending() || ev.At() != 4 {
+		t.Fatalf("moved event: pending %v at %v, want pending at 4", ev.Pending(), ev.At())
+	}
+	e.Run()
+	want := []string{"ev", "a", "b", "ev", "c", "ev", "d", "ev", "e"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if e.Steps() != uint64(len(want)) || e.Now() != 4 {
+		t.Fatalf("steps %d at %v, want %d at 4", e.Steps(), e.Now(), len(want))
 	}
 }
 

@@ -45,6 +45,11 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		{"janus/internal/fabric", []string{
 			"(*Network).settle", "(*Flow).Remaining", "(*Link).CarriedBytes", "(*Link).BusySeconds",
 		}, true},
+		// The event clock and the processors' busy time, in every
+		// function.
+		{"janus/internal/sim", []string{
+			"(*Engine).Schedule", "(*Processor).startNext",
+		}, true},
 		// The live plane: the SGD step and the reference layer, the
 		// trainer's merge and forward/backward piece, the transport's
 		// peer scores and backoff, and the serving traffic model.
