@@ -5,9 +5,10 @@
 # retry/reconnect/degradation code at reduced test sizes (-short skips
 # the long experiment sweeps), race-checks the benchmark's harness, and
 # smoke-fuzzes the wire decoders (frame, JGR1 gradient, the JOIN admit
-# payload, the checkpoint migration stream, the REPL replica snapshot,
-# and the SERVE inference micro-batch) so every verify run spends a few
-# seconds hunting parser panics beyond the seeded corpus.
+# payload, the checkpoint stream, the REPL replica snapshot, and the
+# SERVE inference micro-batch) so every verify run spends a few seconds
+# hunting parser panics beyond the seeded corpus. The checkpoint stream
+# is both the migration wire format and the on-disk checkpoint format.
 .PHONY: verify tier1 race fuzz cover bench
 
 verify: tier1 race

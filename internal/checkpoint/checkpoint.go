@@ -1,31 +1,37 @@
 // Package checkpoint provides versioned, crash-consistent snapshots of
 // training state: expert weights (one opaque entry per expert), the
-// dense parameters, and the step counter. It is the durability layer
-// the livecluster failover leans on — when a machine is lost
-// permanently, survivors reload the dead owner's experts from the
-// freshest readable checkpoint.
+// dense parameters, the step counter and the model version. It is the
+// durability layer the livecluster failover leans on — when a machine
+// is lost permanently, survivors reload the dead owner's experts from
+// the freshest readable checkpoint.
+//
+// A snapshot has one encoding, EncodeStream: magic, CRC32 of the body,
+// body length, body. Live migration ships it between machines, and
+// each checkpoint version is one file in it, dir/vNNNNNNNN.ckpt.
 //
 // Crash consistency comes from the classic temp+fsync+rename recipe:
-// every entry is written into a hidden temp directory, fsynced, the
-// manifest (which carries a CRC per entry and its own CRC) is written
-// last, and the whole directory is atomically renamed to its version
-// name. A reader therefore either sees a complete committed version or
-// none at all; a crash mid-write leaves only an ignorable temp
-// directory. Restore verifies sizes and CRCs, so torn, truncated, or
-// bit-flipped files are rejected rather than loaded, and LoadLatest
-// falls back to the newest version that still verifies.
+// Save writes the stream to a hidden temp file, fsyncs it, renames it
+// onto the version name and fsyncs the directory. A rename over an
+// existing file is atomic, so a reader sees either the old or the new
+// complete version, never none; a crash mid-write leaves only an
+// ignorable temp file. Load verifies the CRC and length and that the
+// stream holds the requested step, so torn, truncated, bit-flipped or
+// misnamed files are rejected rather than loaded, and LoadLatest falls
+// back to the newest version that still verifies.
 package checkpoint
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"syscall"
 )
 
 // Snapshot is one checkpointable training state.
@@ -38,13 +44,10 @@ type Snapshot struct {
 	Experts map[uint32][]byte
 	// Dense holds the serialized dense (non-expert) parameters.
 	Dense []byte
-	// ModelVersion distinguishes model lineages sharing a directory:
-	// a canary rollout saves its candidate weights with a bumped
-	// ModelVersion so the serving plane can tell baseline and canary
-	// generations apart (and fence a rolled-back one) without decoding
-	// any weights. Zero for snapshots that predate the field — the
-	// manifest omits it when zero, so old checkpoints stay readable
-	// and new baseline checkpoints stay byte-compatible.
+	// ModelVersion tags the model lineage the weights belong to (a
+	// canary candidate exported with livecluster.ExportSnapshot carries
+	// its bumped version). The encoding round-trips it; the checkpoint
+	// layer does not interpret it. It must not be negative.
 	ModelVersion int
 }
 
@@ -52,49 +55,24 @@ type Snapshot struct {
 // verifiable checkpoint exists under the directory.
 var ErrNoCheckpoint = errors.New("checkpoint: no readable checkpoint")
 
-const (
-	manifestName  = "MANIFEST"
-	denseEntry    = "dense.bin"
-	formatVersion = 1
-	// maxManifestBytes bounds the manifest a reader will buffer, so a
-	// corrupt length field cannot force an unbounded allocation.
-	maxManifestBytes = 16 << 20
-)
+// streamMagic starts every encoded snapshot, on the wire and on disk.
+var streamMagic = []byte("JSTRM2\n")
 
-// magic starts every manifest file.
-var magic = []byte("JCKPT1\n")
+// tmpPrefix marks a version file still being written.
+const tmpPrefix = ".tmp-"
 
-// manifest describes one committed checkpoint version.
-type manifest struct {
-	FormatVersion int     `json:"format_version"`
-	Step          int     `json:"step"`
-	ModelVersion  int     `json:"model_version,omitempty"`
-	Entries       []entry `json:"entries"`
-}
+func versionFile(version int) string { return fmt.Sprintf("v%08d.ckpt", version) }
 
-// entry records the integrity data of one payload file.
-type entry struct {
-	Name string `json:"name"`
-	Size int64  `json:"size"`
-	CRC  uint32 `json:"crc32"`
-}
-
-func versionDir(version int) string { return fmt.Sprintf("v%08d", version) }
-
-func expertEntry(id uint32) string { return fmt.Sprintf("expert-%08d.bin", id) }
-
-// parseVersion inverts versionDir; ok is false for foreign names
-// (including temp directories).
+// parseVersion inverts versionFile; ok is false for foreign names
+// (including temp files and version directories of the older layout).
 func parseVersion(name string) (int, bool) {
-	if len(name) != 9 || name[0] != 'v' {
+	digits, ok := strings.CutSuffix(name, ".ckpt")
+	if !ok || !strings.HasPrefix(digits, "v") {
 		return 0, false
 	}
-	v := 0
-	for _, c := range name[1:] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int(c-'0')
+	v, err := strconv.Atoi(digits[1:])
+	if err != nil || v < 0 || versionFile(v) != name {
+		return 0, false
 	}
 	return v, true
 }
@@ -116,209 +94,104 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs a directory so the rename/creation of its children is
-// durable. Errors are ignored: some filesystems refuse to fsync
-// directories, and the commit point (the rename) is already ordered
-// after the file fsyncs.
-func syncDir(path string) {
-	if d, err := os.Open(path); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// encodeManifest wraps the manifest JSON in the integrity envelope:
-// magic, CRC32 of the body, body length, body.
-func encodeManifest(m manifest) ([]byte, error) {
-	body, err := json.Marshal(m)
+// syncDir fsyncs a directory so the rename of its children is durable.
+// It ignores only the errors that mean the filesystem cannot fsync a
+// directory at all: errors.ErrUnsupported, and EINVAL, which fsync(2)
+// returns for a descriptor that does not support synchronization (some
+// network and FUSE filesystems). Any other error — EIO above all —
+// means the commit may not survive a crash, and is returned.
+func syncDir(path string) error {
+	d, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	buf := make([]byte, 0, len(magic)+8+len(body))
-	buf = append(buf, magic...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
-	return buf, nil
-}
-
-// decodeManifest verifies the envelope and returns the manifest. Any
-// truncation or bit flip fails the magic, length, or CRC check.
-func decodeManifest(raw []byte) (manifest, error) {
-	var m manifest
-	if len(raw) < len(magic)+8 {
-		return m, fmt.Errorf("checkpoint: manifest truncated (%d bytes)", len(raw))
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	if string(raw[:len(magic)]) != string(magic) {
-		return m, errors.New("checkpoint: bad manifest magic")
+	if errors.Is(err, errors.ErrUnsupported) || errors.Is(err, syscall.EINVAL) {
+		return nil
 	}
-	wantCRC := binary.LittleEndian.Uint32(raw[len(magic) : len(magic)+4])
-	bodyLen := binary.LittleEndian.Uint32(raw[len(magic)+4 : len(magic)+8])
-	body := raw[len(magic)+8:]
-	if bodyLen > maxManifestBytes || int(bodyLen) != len(body) {
-		return m, fmt.Errorf("checkpoint: manifest body %d bytes, header says %d", len(body), bodyLen)
-	}
-	if crc := crc32.ChecksumIEEE(body); crc != wantCRC {
-		return m, fmt.Errorf("checkpoint: manifest CRC mismatch (%08x != %08x)", crc, wantCRC)
-	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		return m, fmt.Errorf("checkpoint: manifest decode: %w", err)
-	}
-	if m.FormatVersion != formatVersion {
-		return m, fmt.Errorf("checkpoint: unsupported format version %d", m.FormatVersion)
-	}
-	return m, nil
+	return err
 }
 
 // Save commits snap under dir as version snap.Step, atomically:
-// a reader never observes a partially written version. An existing
-// version with the same step is replaced. It returns the total payload
-// bytes written (entries plus manifest).
+// a reader never observes a partially written version, and an existing
+// version with the same step is replaced with no window in which
+// neither copy exists. It returns the bytes written.
 func Save(dir string, snap *Snapshot) (int64, error) {
-	if snap == nil {
-		return 0, errors.New("checkpoint: nil snapshot")
-	}
-	if snap.Step < 0 {
-		return 0, fmt.Errorf("checkpoint: negative step %d", snap.Step)
+	raw, err := EncodeStream(snap)
+	if err != nil {
+		return 0, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
-	tmp := filepath.Join(dir, fmt.Sprintf(".tmp-%s", versionDir(snap.Step)))
-	if err := os.RemoveAll(tmp); err != nil {
+	name := versionFile(snap.Step)
+	tmp := filepath.Join(dir, tmpPrefix+name)
+	if err := writeFileSync(tmp, raw); err != nil {
+		os.Remove(tmp)
 		return 0, err
 	}
-	if err := os.Mkdir(tmp, 0o755); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		os.Remove(tmp)
 		return 0, err
 	}
-	cleanup := true
-	defer func() {
-		if cleanup {
-			os.RemoveAll(tmp)
-		}
-	}()
-
-	m := manifest{FormatVersion: formatVersion, Step: snap.Step, ModelVersion: snap.ModelVersion}
-	var written int64
-	put := func(name string, data []byte) error {
-		if err := writeFileSync(filepath.Join(tmp, name), data); err != nil {
-			return err
-		}
-		m.Entries = append(m.Entries, entry{Name: name, Size: int64(len(data)), CRC: crc32.ChecksumIEEE(data)})
-		written += int64(len(data))
-		return nil
-	}
-	ids := make([]uint32, 0, len(snap.Experts))
-	for id := range snap.Experts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if err := put(expertEntry(id), snap.Experts[id]); err != nil {
-			return 0, err
-		}
-	}
-	if snap.Dense != nil {
-		if err := put(denseEntry, snap.Dense); err != nil {
-			return 0, err
-		}
-	}
-
-	raw, err := encodeManifest(m)
-	if err != nil {
+	if err := syncDir(dir); err != nil {
 		return 0, err
 	}
-	if err := writeFileSync(filepath.Join(tmp, manifestName), raw); err != nil {
-		return 0, err
-	}
-	written += int64(len(raw))
-	syncDir(tmp)
-
-	final := filepath.Join(dir, versionDir(snap.Step))
-	if err := os.RemoveAll(final); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return 0, err
-	}
-	cleanup = false
-	syncDir(dir)
-	return written, nil
+	return int64(len(raw)), nil
 }
 
-// Load reads and fully verifies one committed version. Every entry's
-// size and CRC must match the manifest; any torn, truncated, or
-// bit-flipped file fails the load.
+// Load reads and fully verifies one committed version: the file must
+// decode (magic, length and CRC intact) and hold the requested step.
 func Load(dir string, version int) (*Snapshot, error) {
-	vdir := filepath.Join(dir, versionDir(version))
-	raw, err := os.ReadFile(filepath.Join(vdir, manifestName))
+	raw, err := os.ReadFile(filepath.Join(dir, versionFile(version)))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: v%d: %w", version, err)
 	}
-	m, err := decodeManifest(raw)
+	snap, err := DecodeStream(raw)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: v%d: %w", version, err)
 	}
-	if m.Step != version {
-		return nil, fmt.Errorf("checkpoint: v%d: manifest claims step %d", version, m.Step)
-	}
-	snap := &Snapshot{Step: m.Step, ModelVersion: m.ModelVersion, Experts: make(map[uint32][]byte, len(m.Entries))}
-	for _, e := range m.Entries {
-		if e.Name != filepath.Base(e.Name) || e.Name == manifestName {
-			return nil, fmt.Errorf("checkpoint: v%d: illegal entry name %q", version, e.Name)
-		}
-		data, err := os.ReadFile(filepath.Join(vdir, e.Name))
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: v%d: %w", version, err)
-		}
-		if int64(len(data)) != e.Size {
-			return nil, fmt.Errorf("checkpoint: v%d: entry %s is %d bytes, manifest says %d",
-				version, e.Name, len(data), e.Size)
-		}
-		if crc := crc32.ChecksumIEEE(data); crc != e.CRC {
-			return nil, fmt.Errorf("checkpoint: v%d: entry %s CRC mismatch (%08x != %08x)",
-				version, e.Name, crc, e.CRC)
-		}
-		switch {
-		case e.Name == denseEntry:
-			snap.Dense = data
-		case strings.HasPrefix(e.Name, "expert-"):
-			var id uint32
-			if _, err := fmt.Sscanf(e.Name, "expert-%08d.bin", &id); err != nil {
-				return nil, fmt.Errorf("checkpoint: v%d: bad expert entry %q", version, e.Name)
-			}
-			snap.Experts[id] = data
-		default:
-			return nil, fmt.Errorf("checkpoint: v%d: unknown entry %q", version, e.Name)
-		}
+	if snap.Step != version {
+		return nil, fmt.Errorf("checkpoint: v%d: file holds step %d", version, snap.Step)
 	}
 	return snap, nil
 }
 
-// Versions lists the committed version numbers under dir, ascending.
-// Temp directories and foreign files are ignored. Listing does not
-// verify integrity; Load does.
-func Versions(dir string) ([]int, error) {
+// list returns the committed versions under dir, ascending, and the
+// names of leftover temp entries. A missing dir lists as empty.
+func list(dir string) (versions []int, temps []string, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, nil, nil
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	var out []int
 	for _, e := range ents {
-		if !e.IsDir() {
+		if strings.HasPrefix(e.Name(), tmpPrefix) {
+			temps = append(temps, e.Name())
+			continue
+		}
+		if !e.Type().IsRegular() {
 			continue
 		}
 		if v, ok := parseVersion(e.Name()); ok {
-			out = append(out, v)
+			versions = append(versions, v)
 		}
 	}
-	sort.Ints(out)
-	return out, nil
+	sort.Ints(versions)
+	return versions, temps, nil
+}
+
+// Versions lists the committed version numbers under dir, ascending.
+// Temp files, directories and foreign files are ignored. Listing does
+// not verify integrity; Load does.
+func Versions(dir string) ([]int, error) {
+	versions, _, err := list(dir)
+	return versions, err
 }
 
 // LoadLatest returns the newest version that verifies completely,
@@ -338,22 +211,37 @@ func LoadLatest(dir string) (*Snapshot, int, error) {
 	return nil, 0, ErrNoCheckpoint
 }
 
-const (
-	// maxStreamBytes bounds the stream body a reader will accept, so a
-	// corrupt length field cannot force an unbounded allocation.
-	maxStreamBytes = 64 << 20
-)
+// Prune removes committed versions older than the newest keep ones
+// (and any leftover temp files). keep < 1 is treated as 1.
+func Prune(dir string, keep int) error {
+	if keep < 1 {
+		keep = 1
+	}
+	versions, temps, err := list(dir)
+	if err != nil {
+		return err
+	}
+	for _, name := range temps {
+		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+			return err
+		}
+	}
+	if len(versions) <= keep {
+		return nil
+	}
+	for _, v := range versions[:len(versions)-keep] {
+		if err := os.Remove(filepath.Join(dir, versionFile(v))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-// streamMagic starts every wire-encoded snapshot stream.
-var streamMagic = []byte("JSTRM1\n")
-
-// EncodeStream serializes snap into the self-verifying wire form used
-// to ship expert weights between machines during live migration:
-// magic, CRC32 of the body, body length, body. The body is the step,
-// the experts in ascending id order (id, length, bytes each), then an
-// optional dense section. The same integrity discipline as the on-disk
-// manifest applies — a receiver either decodes the exact snapshot that
-// was sent or rejects the stream.
+// EncodeStream serializes snap into its self-verifying form: magic,
+// CRC32 of the body, body length, body. The body is the step, the model
+// version, the experts in ascending id order (id, length, bytes each),
+// then an optional dense section. A reader either decodes the exact
+// snapshot that was written or rejects the stream.
 func EncodeStream(snap *Snapshot) ([]byte, error) {
 	if snap == nil {
 		return nil, errors.New("checkpoint: nil snapshot")
@@ -361,58 +249,53 @@ func EncodeStream(snap *Snapshot) ([]byte, error) {
 	if snap.Step < 0 {
 		return nil, fmt.Errorf("checkpoint: negative step %d", snap.Step)
 	}
+	if snap.ModelVersion < 0 {
+		return nil, fmt.Errorf("checkpoint: negative model version %d", snap.ModelVersion)
+	}
+	hdr := len(streamMagic) + 8
 	ids := make([]uint32, 0, len(snap.Experts))
-	n := 8 + 4 + 1 + 4
+	n := hdr + 8 + 8 + 4 + 1 + 4 + len(snap.Dense)
 	for id, data := range snap.Experts {
 		ids = append(ids, id)
 		n += 8 + len(data)
 	}
-	n += len(snap.Dense)
-	if n > maxStreamBytes {
-		return nil, fmt.Errorf("checkpoint: stream body %d bytes exceeds limit", n)
+	// Every length field is a u32; the body length bounds them all.
+	if uint64(n-hdr) > math.MaxUint32 {
+		return nil, fmt.Errorf("checkpoint: stream body %d bytes exceeds the u32 length field", n-hdr)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	body := make([]byte, 0, n)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(snap.Step))
-	body = append(body, u64[:]...)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(ids)))
-	body = append(body, u32[:]...)
+	le := binary.LittleEndian
+	buf := make([]byte, hdr, n)
+	copy(buf, streamMagic)
+	buf = le.AppendUint64(buf, uint64(snap.Step))
+	buf = le.AppendUint64(buf, uint64(snap.ModelVersion))
+	buf = le.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
 		data := snap.Experts[id]
-		binary.LittleEndian.PutUint32(u32[:], id)
-		body = append(body, u32[:]...)
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(data)))
-		body = append(body, u32[:]...)
-		body = append(body, data...)
+		buf = le.AppendUint32(buf, id)
+		buf = le.AppendUint32(buf, uint32(len(data)))
+		buf = append(buf, data...)
 	}
+	hasDense := byte(0)
 	if snap.Dense != nil {
-		body = append(body, 1)
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(snap.Dense)))
-		body = append(body, u32[:]...)
-		body = append(body, snap.Dense...)
-	} else {
-		body = append(body, 0)
-		binary.LittleEndian.PutUint32(u32[:], 0)
-		body = append(body, u32[:]...)
+		hasDense = 1
 	}
+	buf = append(buf, hasDense)
+	buf = le.AppendUint32(buf, uint32(len(snap.Dense)))
+	buf = append(buf, snap.Dense...)
 
-	buf := make([]byte, 0, len(streamMagic)+8+len(body))
-	buf = append(buf, streamMagic...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
+	body := buf[hdr:]
+	le.PutUint32(buf[len(streamMagic):], crc32.ChecksumIEEE(body))
+	le.PutUint32(buf[len(streamMagic)+4:], uint32(len(body)))
 	return buf, nil
 }
 
-// DecodeStream verifies and decodes a wire-encoded snapshot stream.
-// Any truncation, trailing garbage, or bit flip fails the magic,
-// length, or CRC check; duplicate or descending expert ids are
-// rejected so the encoding is canonical.
+// DecodeStream verifies and decodes an encoded snapshot. Any
+// truncation, trailing garbage, or bit flip fails the magic, length,
+// or CRC check; duplicate or descending expert ids are rejected so the
+// encoding is canonical. The caller already holds raw in memory, and
+// the length check ties every allocation to it.
 func DecodeStream(raw []byte) (*Snapshot, error) {
 	if len(raw) < len(streamMagic)+8 {
 		return nil, fmt.Errorf("checkpoint: stream truncated (%d bytes)", len(raw))
@@ -423,27 +306,31 @@ func DecodeStream(raw []byte) (*Snapshot, error) {
 	wantCRC := binary.LittleEndian.Uint32(raw[len(streamMagic) : len(streamMagic)+4])
 	bodyLen := binary.LittleEndian.Uint32(raw[len(streamMagic)+4 : len(streamMagic)+8])
 	body := raw[len(streamMagic)+8:]
-	if bodyLen > maxStreamBytes || int(bodyLen) != len(body) {
+	if int(bodyLen) != len(body) {
 		return nil, fmt.Errorf("checkpoint: stream body %d bytes, header says %d", len(body), bodyLen)
 	}
 	if crc := crc32.ChecksumIEEE(body); crc != wantCRC {
 		return nil, fmt.Errorf("checkpoint: stream CRC mismatch (%08x != %08x)", crc, wantCRC)
 	}
-	if len(body) < 8+4 {
+	if len(body) < 8+8+4 {
 		return nil, errors.New("checkpoint: stream body truncated")
 	}
 	step := binary.LittleEndian.Uint64(body)
 	if step > uint64(1)<<62 {
 		return nil, fmt.Errorf("checkpoint: stream step %d out of range", step)
 	}
-	nExperts := binary.LittleEndian.Uint32(body[8:])
-	off := 12
+	modelVersion := binary.LittleEndian.Uint64(body[8:])
+	if modelVersion > uint64(1)<<62 {
+		return nil, fmt.Errorf("checkpoint: stream model version %d out of range", modelVersion)
+	}
+	nExperts := binary.LittleEndian.Uint32(body[16:])
+	off := 20
 	// Each expert needs at least its 8-byte header; reject counts the
 	// remaining bytes cannot possibly satisfy before allocating.
 	if int64(nExperts)*8 > int64(len(body)-off) {
 		return nil, fmt.Errorf("checkpoint: stream claims %d experts in %d bytes", nExperts, len(body)-off)
 	}
-	snap := &Snapshot{Step: int(step), Experts: make(map[uint32][]byte, nExperts)}
+	snap := &Snapshot{Step: int(step), ModelVersion: int(modelVersion), Experts: make(map[uint32][]byte, nExperts)}
 	prev := -1
 	for i := uint32(0); i < nExperts; i++ {
 		if len(body)-off < 8 {
@@ -489,44 +376,4 @@ func DecodeStream(raw []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("checkpoint: stream has %d trailing bytes", len(body)-off)
 	}
 	return snap, nil
-}
-
-// Prune removes committed versions older than the newest keep ones
-// (and any leftover temp directories). keep < 1 is treated as 1.
-func Prune(dir string, keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var versions []int
-	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
-			continue
-		}
-		if v, ok := parseVersion(e.Name()); ok {
-			versions = append(versions, v)
-		}
-	}
-	sort.Ints(versions)
-	if len(versions) <= keep {
-		return nil
-	}
-	for _, v := range versions[:len(versions)-keep] {
-		if err := os.RemoveAll(filepath.Join(dir, versionDir(v))); err != nil {
-			return err
-		}
-	}
-	return nil
 }

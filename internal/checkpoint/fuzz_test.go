@@ -15,8 +15,14 @@ func FuzzDecodeStream(f *testing.F) {
 	if raw, err := EncodeStream(&Snapshot{Experts: map[uint32][]byte{}}); err == nil {
 		f.Add(raw)
 	}
-	f.Add([]byte("JSTRM1\n"))
+	f.Add(streamMagic)
 	f.Add([]byte{})
+	if raw, err := EncodeStream(&Snapshot{Step: 3, ModelVersion: 2, Experts: map[uint32][]byte{5: {1}}, Dense: []byte{2}}); err == nil {
+		f.Add(raw)
+	}
+	if raw, err := EncodeStream(&Snapshot{Step: 1, Experts: map[uint32][]byte{0: {7, 8}}}); err == nil {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		snap, err := DecodeStream(raw)
 		if err != nil {

@@ -58,6 +58,20 @@ func TestStreamRoundTripNoDense(t *testing.T) {
 	}
 }
 
+func TestStreamCarriesModelVersion(t *testing.T) {
+	raw, err := EncodeStream(&Snapshot{Step: 4, ModelVersion: 2, Experts: map[uint32][]byte{1: {3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeStream(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ModelVersion != 2 {
+		t.Fatalf("ModelVersion = %d, want 2", got.ModelVersion)
+	}
+}
+
 func TestStreamRejectsCorruption(t *testing.T) {
 	raw, err := EncodeStream(streamFixture())
 	if err != nil {
@@ -90,5 +104,8 @@ func TestStreamRejectsNilAndNegative(t *testing.T) {
 	}
 	if _, err := EncodeStream(&Snapshot{Step: -1}); err == nil {
 		t.Fatal("negative step encoded")
+	}
+	if _, err := EncodeStream(&Snapshot{ModelVersion: -1}); err == nil {
+		t.Fatal("negative model version encoded")
 	}
 }

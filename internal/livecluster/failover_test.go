@@ -307,14 +307,14 @@ func TestFailoverSkipsCorruptCheckpoint(t *testing.T) {
 	for s := 1; s <= 2; s++ {
 		trainStep(t, cl)
 	}
-	// Bit-flip an expert entry in the newest checkpoint (v2).
-	entry := filepath.Join(dir, "v00000002", "expert-00000006.bin")
-	data, err := os.ReadFile(entry)
+	// Bit-flip a byte of the newest checkpoint (v2).
+	file := filepath.Join(dir, "v00000002.ckpt")
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(entry, data, 0o644); err != nil {
+	if err := os.WriteFile(file, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := checkpoint.Load(dir, 2); err == nil {

@@ -17,8 +17,8 @@ import (
 
 // Canary configures one rollout.
 type Canary struct {
-	// Version is the candidate's model version (checkpoint manifest
-	// model_version).
+	// Version is the candidate's model version (the ModelVersion of the
+	// snapshot its plane was exported from).
 	Version int
 	// Plane holds the candidate's expert weights; it must cover every
 	// expert so any routed request is computable.

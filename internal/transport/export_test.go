@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"strings"
 	"time"
@@ -38,20 +39,10 @@ func (c *Client) PeerLatencyEWMA(addr string) time.Duration {
 	return 0
 }
 
-// PingsServed returns how many heartbeat probes this server answered.
-func (s *Server) PingsServed() int64 { return s.pings.Load() }
-
-// JoinsServed returns how many JOIN requests this server admitted.
-func (s *Server) JoinsServed() int64 { return s.joins.Load() }
-
-// MigrationsStaged returns how many MIGRATE payloads this server's
-// store accepted.
-func (s *Server) MigrationsStaged() int64 { return s.migrations.Load() }
-
-// ReplicasApplied returns how many REPL streams this server's store
-// accepted.
-func (s *Server) ReplicasApplied() int64 { return s.repls.Load() }
-
-// ServesAnswered returns how many SERVE micro-batches this server's
-// store computed and answered.
-func (s *Server) ServesAnswered() int64 { return s.serves.Load() }
+// writeFrame serialises f into w and flushes it.
+func writeFrame(w *bufio.Writer, f frame) error {
+	if err := writeFrameBuffered(w, f); err != nil {
+		return err
+	}
+	return w.Flush()
+}

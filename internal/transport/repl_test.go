@@ -87,7 +87,7 @@ func (s *replStore) AcceptReplica(id ExpertID, payload []byte) error {
 
 func TestReplicateAppliesStream(t *testing.T) {
 	store := &replStore{memStore: newMemStore()}
-	srv, addr := startServer(t, store)
+	_, addr := startServer(t, store)
 
 	c := NewClient(2)
 	defer c.Close()
@@ -105,9 +105,6 @@ func TestReplicateAppliesStream(t *testing.T) {
 	store.mu.Unlock()
 	if !bytes.Equal(got, expert) || ver != 3 {
 		t.Fatalf("replica %v@%d, want %v@3", got, ver, expert)
-	}
-	if srv.ReplicasApplied() != 1 {
-		t.Fatalf("ReplicasApplied = %d, want 1", srv.ReplicasApplied())
 	}
 
 	// An older version arriving late must not roll the replica back.

@@ -116,36 +116,25 @@ func (f *frame) recycle() {
 	}
 }
 
-// writeFrame serialises f into w and flushes it.
-//
-// Concurrent senders on one connection batch flushes by group commit
-// instead (see flushGroup): each sender copies its frame into the
-// buffered writer under the write lock via writeFrameBuffered, and only
-// the last sender in the window issues the Flush. An earlier
-// optimization that queued frames for a background flusher was reverted
-// because a timed-out sender could recycle a payload the flusher had
-// yet to write; group commit keeps the copy synchronous in the sender —
-// when writeFrameBuffered returns, the payload bytes are owned by the
-// bufio buffer (or already on the socket) and the caller may recycle
-// them, so the PR 3 no-retain contract extends to batched payloads
-// unchanged. A faulted flush still fails several senders' frames at
-// once, but each failed request retries under its own budget with its
-// own dedup token, so fault-injection retransmission semantics are the
-// same as with one flush per frame.
-func writeFrame(w *bufio.Writer, f frame) error {
-	if err := writeFrameBuffered(w, f); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
 // flushGroup implements the group-commit flush rule: senders increment
 // pending before taking the write lock, copy their frame into the
-// buffered writer, then decrement; whoever decrements to zero flushes.
-// A sender that skips its flush is guaranteed a later one: its
-// decrement was non-zero only because another sender had already
-// incremented, and that sender (or one that delays *it*) must reach its
-// own decrement inside the lock after writing.
+// buffered writer via writeFrameBuffered, then decrement; whoever
+// decrements to zero flushes. A sender that skips its flush is
+// guaranteed a later one: its decrement was non-zero only because
+// another sender had already incremented, and that sender (or one that
+// delays *it*) must reach its own decrement inside the lock after
+// writing.
+//
+// Frames are not queued for a background flusher: a timed-out sender
+// could then recycle a payload the flusher had yet to write. Group
+// commit keeps the copy synchronous in the sender — when
+// writeFrameBuffered returns, the payload bytes are owned by the bufio
+// buffer (or already on the socket) and the caller may recycle them, so
+// the no-retain contract extends to batched payloads unchanged. A
+// faulted flush still fails several senders' frames at once, but each
+// failed request retries under its own budget with its own dedup token,
+// so fault-injection retransmission semantics are the same as with one
+// flush per frame.
 type flushGroup struct{ pending atomic.Int32 }
 
 func (g *flushGroup) enter() { g.pending.Add(1) }
@@ -399,23 +388,18 @@ type EpochGate interface {
 type Server struct {
 	store Store
 
-	mu         sync.Mutex
-	ln         net.Listener
-	conns      map[net.Conn]struct{}
-	closed     bool
-	wg         sync.WaitGroup
-	pulls      atomic.Int64
-	grads      atomic.Int64
-	gradDups   atomic.Int64
-	pings      atomic.Int64
-	fenced     atomic.Int64
-	joins      atomic.Int64
-	migrations atomic.Int64
-	repls      atomic.Int64
-	serves     atomic.Int64
-	gate       atomic.Value // EpochGate
-	joiner     atomic.Value // JoinHandler
-	Counters   Counters
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[net.Conn]struct{}
+	closed   bool
+	wg       sync.WaitGroup
+	pulls    atomic.Int64
+	grads    atomic.Int64
+	gradDups atomic.Int64
+	fenced   atomic.Int64
+	gate     atomic.Value // EpochGate
+	joiner   atomic.Value // JoinHandler
+	Counters Counters
 
 	gradMu    sync.Mutex
 	gradCond  sync.Cond // completion signal for in-flight gradEntries
@@ -667,7 +651,6 @@ func (cs *connState) handle(f frame, epoch uint64) {
 			cs.respond(frame{typ: msgError, reqID: f.reqID, epoch: epoch, payload: []byte(err.Error())})
 			return
 		}
-		s.joins.Add(1)
 		cs.respond(frame{typ: msgAdmit, reqID: f.reqID, epoch: viewEpoch, payload: admit})
 	case msgMigrate:
 		sink := s.store.(MigrationSink)
@@ -677,7 +660,6 @@ func (cs *connState) handle(f frame, epoch uint64) {
 			cs.respond(frame{typ: msgError, reqID: f.reqID, epoch: epoch, id: f.id, payload: []byte(err.Error())})
 			return
 		}
-		s.migrations.Add(1)
 		cs.respond(frame{typ: msgMigrateAck, reqID: f.reqID, epoch: epoch, id: f.id})
 	case msgRepl:
 		sink := s.store.(ReplicationSink)
@@ -687,7 +669,6 @@ func (cs *connState) handle(f frame, epoch uint64) {
 			cs.respond(frame{typ: msgError, reqID: f.reqID, epoch: epoch, id: f.id, payload: []byte(err.Error())})
 			return
 		}
-		s.repls.Add(1)
 		cs.respond(frame{typ: msgReplAck, reqID: f.reqID, epoch: epoch, id: f.id})
 	case msgServe:
 		sv := s.store.(ServingStore)
@@ -697,7 +678,6 @@ func (cs *connState) handle(f frame, epoch uint64) {
 			cs.respond(frame{typ: msgError, reqID: f.reqID, epoch: epoch, id: f.id, payload: []byte(err.Error())})
 			return
 		}
-		s.serves.Add(1)
 		cs.respond(frame{typ: msgServeOut, reqID: f.reqID, epoch: epoch, id: f.id, payload: out})
 	}
 }
@@ -791,7 +771,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			// touch the store; answer inline so liveness is observed
 			// even while store handlers are busy. The PONG carries the
 			// server's epoch and whether it considers the prober alive.
-			s.pings.Add(1)
 			readmitted := gate == nil || gate.MachineAlive(f.sender)
 			cs.respond(frame{typ: msgPong, reqID: f.reqID, epoch: epoch, payload: pongFlagPayload(readmitted)})
 		default:

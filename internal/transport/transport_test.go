@@ -358,9 +358,6 @@ func TestPingRoundTripAndFailure(t *testing.T) {
 			t.Fatalf("ping %d: %v", i, err)
 		}
 	}
-	if got := srv.PingsServed(); got != 3 {
-		t.Fatalf("PingsServed = %d, want 3", got)
-	}
 
 	// A ping is a liveness probe, not a request: it gets exactly one
 	// attempt, so a dead server surfaces as an error immediately.

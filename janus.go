@@ -267,9 +267,10 @@ func MachineLabel(m int) string { return livecluster.MachineLabel(m) }
 type RobustnessSnapshot = metrics.RobustnessSnapshot
 
 // Checkpoint is a crash-consistent snapshot of training state: expert
-// weights by id, dense parameters, and the step counter. On disk each
-// version is CRC-verified per entry and committed by atomic rename, so
-// a torn or bit-flipped file is rejected at restore rather than loaded.
+// weights by id, dense parameters, the step counter and the model
+// version. On disk each version is one CRC-verified file committed by
+// atomic rename, so a torn or bit-flipped file is rejected at restore
+// rather than loaded.
 type Checkpoint = checkpoint.Snapshot
 
 // SaveCheckpoint commits snap as a new version under dir and returns
