@@ -58,6 +58,12 @@ var ErrNoCheckpoint = errors.New("checkpoint: no readable checkpoint")
 // streamMagic starts every encoded snapshot, on the wire and on disk.
 var streamMagic = []byte("JSTRM2\n")
 
+// maxStreamInt bounds the step and the model version a stream carries,
+// so each fits an int on every 64-bit platform with headroom and a
+// decode reproduces exactly what was encoded. Encode and decode share
+// it: a value the decoder would reject is never written.
+const maxStreamInt = 1 << 62
+
 // tmpPrefix marks a version file still being written.
 const tmpPrefix = ".tmp-"
 
@@ -145,12 +151,14 @@ func Save(dir string, snap *Snapshot) (int64, error) {
 
 // Load reads and fully verifies one committed version: the file must
 // decode (magic, length and CRC intact) and hold the requested step.
+// Load owns the bytes it read, so the snapshot's expert and dense
+// payloads alias them instead of being copied a second time.
 func Load(dir string, version int) (*Snapshot, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, versionFile(version)))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: v%d: %w", version, err)
 	}
-	snap, err := DecodeStream(raw)
+	snap, err := decodeStream(raw, true)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: v%d: %w", version, err)
 	}
@@ -246,11 +254,11 @@ func EncodeStream(snap *Snapshot) ([]byte, error) {
 	if snap == nil {
 		return nil, errors.New("checkpoint: nil snapshot")
 	}
-	if snap.Step < 0 {
-		return nil, fmt.Errorf("checkpoint: negative step %d", snap.Step)
+	if snap.Step < 0 || uint64(snap.Step) > maxStreamInt {
+		return nil, fmt.Errorf("checkpoint: step %d out of range [0, 2^62]", snap.Step)
 	}
-	if snap.ModelVersion < 0 {
-		return nil, fmt.Errorf("checkpoint: negative model version %d", snap.ModelVersion)
+	if snap.ModelVersion < 0 || uint64(snap.ModelVersion) > maxStreamInt {
+		return nil, fmt.Errorf("checkpoint: model version %d out of range [0, 2^62]", snap.ModelVersion)
 	}
 	hdr := len(streamMagic) + 8
 	ids := make([]uint32, 0, len(snap.Experts))
@@ -295,8 +303,17 @@ func EncodeStream(snap *Snapshot) ([]byte, error) {
 // truncation, trailing garbage, or bit flip fails the magic, length,
 // or CRC check; duplicate or descending expert ids are rejected so the
 // encoding is canonical. The caller already holds raw in memory, and
-// the length check ties every allocation to it.
+// the length check ties every allocation to it. The snapshot owns
+// copies of its payloads, so raw may be reused once it returns (a
+// migration payload lives in a recycled frame buffer).
 func DecodeStream(raw []byte) (*Snapshot, error) {
+	return decodeStream(raw, false)
+}
+
+// decodeStream is DecodeStream; with alias set, the snapshot's expert
+// and dense payloads are capped sub-slices of raw instead of copies,
+// for a caller that owns raw and never reuses it.
+func decodeStream(raw []byte, alias bool) (*Snapshot, error) {
 	if len(raw) < len(streamMagic)+8 {
 		return nil, fmt.Errorf("checkpoint: stream truncated (%d bytes)", len(raw))
 	}
@@ -316,11 +333,11 @@ func DecodeStream(raw []byte) (*Snapshot, error) {
 		return nil, errors.New("checkpoint: stream body truncated")
 	}
 	step := binary.LittleEndian.Uint64(body)
-	if step > uint64(1)<<62 {
+	if step > maxStreamInt {
 		return nil, fmt.Errorf("checkpoint: stream step %d out of range", step)
 	}
 	modelVersion := binary.LittleEndian.Uint64(body[8:])
-	if modelVersion > uint64(1)<<62 {
+	if modelVersion > maxStreamInt {
 		return nil, fmt.Errorf("checkpoint: stream model version %d out of range", modelVersion)
 	}
 	nExperts := binary.LittleEndian.Uint32(body[16:])
@@ -346,9 +363,7 @@ func DecodeStream(raw []byte) (*Snapshot, error) {
 		if uint32(len(body)-off) < size {
 			return nil, fmt.Errorf("checkpoint: stream expert %d truncated (%d of %d bytes)", id, len(body)-off, size)
 		}
-		data := make([]byte, size)
-		copy(data, body[off:off+int(size)])
-		snap.Experts[id] = data
+		snap.Experts[id] = payload(body[off:off+int(size)], alias)
 		off += int(size)
 	}
 	if len(body)-off < 5 {
@@ -366,8 +381,7 @@ func DecodeStream(raw []byte) (*Snapshot, error) {
 		if uint32(len(body)-off) < denseLen {
 			return nil, fmt.Errorf("checkpoint: stream dense truncated (%d of %d bytes)", len(body)-off, denseLen)
 		}
-		snap.Dense = make([]byte, denseLen)
-		copy(snap.Dense, body[off:off+int(denseLen)])
+		snap.Dense = payload(body[off:off+int(denseLen)], alias)
 		off += int(denseLen)
 	default:
 		return nil, fmt.Errorf("checkpoint: stream bad dense flag %d", hasDense)
@@ -376,4 +390,14 @@ func DecodeStream(raw []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("checkpoint: stream has %d trailing bytes", len(body)-off)
 	}
 	return snap, nil
+}
+
+// payload returns b capped at its length when alias is set, so an
+// append to one payload never overwrites the next, and a copy of b
+// otherwise.
+func payload(b []byte, alias bool) []byte {
+	if alias {
+		return b[:len(b):len(b)]
+	}
+	return append(make([]byte, 0, len(b)), b...)
 }

@@ -387,3 +387,52 @@ func TestModelVersionRoundTrip(t *testing.T) {
 		t.Fatalf("ModelVersion = %d, want 0", got.ModelVersion)
 	}
 }
+
+// TestSaveStepRangeBound: a step or model version above 2^62, which no
+// decode accepts, is rejected by Save before anything is written, so
+// Save never reports success for a version Load cannot read; 2^62
+// itself round-trips.
+func TestSaveStepRangeBound(t *testing.T) {
+	dir := t.TempDir()
+	for _, s := range []*Snapshot{
+		{Step: 1<<62 + 1, Experts: map[uint32][]byte{1: {2}}},
+		{Step: 3, ModelVersion: 1<<62 + 1, Experts: map[uint32][]byte{1: {2}}},
+	} {
+		if _, err := Save(dir, s); err == nil {
+			t.Fatalf("Save(step %d, model version %d) succeeded", s.Step, s.ModelVersion)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("rejected saves left %d entries (err %v)", len(ents), err)
+	}
+	mustSave(t, dir, &Snapshot{Step: 1 << 62, ModelVersion: 1 << 62, Experts: map[uint32][]byte{1: {2}}})
+	snap, v, err := LoadLatest(dir)
+	if err != nil || v != 1<<62 || snap.Step != 1<<62 || snap.ModelVersion != 1<<62 {
+		t.Fatalf("LoadLatest = v%d err %v, want step and model version 2^62", v, err)
+	}
+}
+
+// TestLoadPayloadsAreCapped: Load's payloads alias the bytes it read,
+// each capped at its own length, so appending to one expert's payload
+// leaves its neighbour and the dense section intact.
+func TestLoadPayloadsAreCapped(t *testing.T) {
+	dir := t.TempDir()
+	want := testSnap(2, 3, 4)
+	mustSave(t, dir, want)
+	got, err := Load(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spill := bytes.Repeat([]byte{0xEE}, 16) // past the next entry's 8-byte header
+	for id := range got.Experts {
+		_ = append(got.Experts[id], spill...)
+	}
+	for id, data := range want.Experts {
+		if !bytes.Equal(got.Experts[id], data) {
+			t.Fatalf("expert %d changed after appending to the payloads", id)
+		}
+	}
+	if !bytes.Equal(got.Dense, want.Dense) {
+		t.Fatal("dense changed after appending to the expert payloads")
+	}
+}

@@ -109,3 +109,49 @@ func TestStreamRejectsNilAndNegative(t *testing.T) {
 		t.Fatal("negative model version encoded")
 	}
 }
+
+// TestStreamRangeBound: the encoder accepts exactly what the decoder
+// does — a step or model version of 2^62 round-trips, one more is
+// rejected on encode.
+func TestStreamRangeBound(t *testing.T) {
+	raw, err := EncodeStream(&Snapshot{Step: 1 << 62, ModelVersion: 1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeStream(raw)
+	if err != nil || got.Step != 1<<62 || got.ModelVersion != 1<<62 {
+		t.Fatalf("2^62 round trip = %+v, %v", got, err)
+	}
+	if _, err := EncodeStream(&Snapshot{Step: 1<<62 + 1}); err == nil {
+		t.Fatal("step 2^62+1 encoded")
+	}
+	if _, err := EncodeStream(&Snapshot{ModelVersion: 1<<62 + 1}); err == nil {
+		t.Fatal("model version 2^62+1 encoded")
+	}
+}
+
+// TestDecodeStreamCopies: DecodeStream's snapshot owns its payloads, so
+// the caller may reuse the input at once (a migration payload lives in
+// a recycled frame buffer).
+func TestDecodeStreamCopies(t *testing.T) {
+	want := streamFixture()
+	raw, err := EncodeStream(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeStream(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range raw {
+		raw[i] = 0xA5
+	}
+	for id, data := range want.Experts {
+		if !bytes.Equal(got.Experts[id], data) {
+			t.Fatalf("expert %d: %v after scribbling over the input, want %v", id, got.Experts[id], data)
+		}
+	}
+	if !bytes.Equal(got.Dense, want.Dense) {
+		t.Fatalf("dense %v after scribbling over the input, want %v", got.Dense, want.Dense)
+	}
+}

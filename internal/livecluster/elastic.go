@@ -403,7 +403,7 @@ func (cl *Cluster) migrateExpert(e, to int) (fenced bool, err error) {
 	// recovery point if the new owner dies — and stop hosting it.
 	if ex, ok := cl.stores[from].get(id); ok {
 		cl.staleMu.Lock()
-		cl.stale[from][e] = &staleEntry{ex: ex, payload: payload, step: int(ver)}
+		cl.stale[from][e] = &staleEntry{ex: ex, step: int(ver)}
 		cl.staleMu.Unlock()
 		if retargeted {
 			// Fill the vacated replica slot immediately: the source's

@@ -181,12 +181,11 @@ func (c Config) Validate() error {
 func (c Config) numWorkers() int { return c.Machines * c.WorkersPerNode }
 
 // staleEntry is one machine's last successfully fetched copy of an
-// external expert, with the step of that fetch.
+// external expert, decoded, with the step of that fetch. It keeps no
+// wire bytes: pulls decode straight out of the transport's frame.
 type staleEntry struct {
-	ex      *moe.Expert
-	payload []byte   // wire bytes ex was decoded from
-	spares  [][]byte // retired payload buffers, reused as pull destinations
-	step    int
+	ex   *moe.Expert
+	step int
 }
 
 // Cluster is a running live deployment.

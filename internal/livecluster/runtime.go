@@ -1,11 +1,13 @@
 // The trainer's persistent execution runtime. The per-step drivers in
 // pipeline.go schedule work onto structures that live across steps and
 // across Train calls — persistent worker goroutines fed by task
-// channels, a ring of reusable stepRun records per machine, worker-local
-// encode scratch, and a rotating set of pull destination buffers — so a
+// channels and a ring of reusable stepRun records per machine — so a
 // steady-state training step performs zero heap allocations: goroutine
 // launches, closures, maps and per-step buffers are all replaced by
-// resets of preallocated state.
+// resets of preallocated state. Wire bytes live only in the transport's
+// pooled frames: a gradient push is encoded straight into its request
+// frame and a pull is decoded straight out of its response frame, so
+// wire buffers scale with the traffic in flight, not with worker count.
 //
 // Scheduling only: the work items, their fold slots and their fold
 // order are exactly the ones the static plan fixes (train.go), so this
@@ -14,7 +16,6 @@
 package livecluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -334,13 +335,12 @@ func (rt *machineRuntime) pieceWorker() {
 }
 
 func (rt *machineRuntime) pushWorker() {
-	var scratch []byte // worker-local JGR1 encode buffer
 	for {
 		select {
 		case <-rt.quit:
 			return
 		case t := <-rt.pushCh:
-			t.r.doPush(int(t.idx), &scratch)
+			t.r.doPush(int(t.idx))
 		}
 	}
 }
@@ -486,13 +486,12 @@ func (r *stepRun) resolveExpert(e int) (*moe.Expert, error) {
 	return r.pullVersioned(e, want)
 }
 
-// pullVersioned pulls (e, version) from its current owner into a
-// recycled destination buffer, re-resolving ownership on remote
-// rejections and falling back to the freshest stale copy when the pull
-// cannot complete and StaleFallback allows it. Up to ring consecutive
-// steps can have pulls of the same expert in flight (later ones parked
-// on the owner's version), so each (machine, expert) cache entry keeps
-// a small pool of retired payload buffers as pull destinations.
+// pullVersioned pulls (e, version) from its current owner and decodes
+// it straight out of the transport's receive buffer, re-resolving
+// ownership on remote rejections and falling back to the freshest stale
+// copy when the pull cannot complete and StaleFallback allows it. The
+// decode runs under staleMu and records the result as the (machine,
+// expert) stale copy; no wire bytes outlive the pull.
 func (r *stepRun) pullVersioned(e int, want uint64) (*moe.Expert, error) {
 	rt := r.rt
 	cl := rt.cl
@@ -500,36 +499,41 @@ func (r *stepRun) pullVersioned(e int, want uint64) (*moe.Expert, error) {
 	id := transport.ExpertID{Expert: uint32(e)}
 	owner := cl.ownerFor(m, e)
 
-	cl.staleMu.Lock()
-	ent := cl.stale[m][e]
-	if ent == nil {
-		ent = &staleEntry{}
-		cl.stale[m][e] = ent
+	var ex *moe.Expert
+	decode := func(payload []byte) error {
+		cl.staleMu.Lock()
+		defer cl.staleMu.Unlock()
+		ent := cl.stale[m][e]
+		var err error
+		if cl.staleInPlace && ent != nil && ent.ex != nil {
+			// Decode into the cached object. Safe: the pull⟺contribute
+			// invariant orders this strictly after every compute that
+			// read the previous version on this machine, and the
+			// staleInPlace gate rules out any path that aliases the
+			// cached object elsewhere.
+			ex, err = decodeExpertInto(ent.ex, payload)
+		} else {
+			ex, err = decodeExpert(payload)
+		}
+		if err != nil {
+			return err
+		}
+		if ent == nil {
+			ent = &staleEntry{}
+			cl.stale[m][e] = ent
+		}
+		ent.ex, ent.step = ex, r.s
+		return nil
 	}
-	var dst []byte
-	if n := len(ent.spares); n > 0 {
-		dst = ent.spares[n-1]
-		ent.spares = ent.spares[:n-1]
-	}
-	cl.staleMu.Unlock()
-
-	var payload []byte
 	var err error
 	for resolve := 0; resolve < 3; resolve++ {
 		if owner == m {
-			// Ownership moved here mid-resolve: serve locally and return
-			// the unused destination buffer.
-			if dst != nil {
-				r.returnSpare(e, dst)
-			}
+			// Ownership moved here mid-resolve: serve locally.
 			return cl.stores[m].waitLocalAt(id, want)
 		}
-		payload, err = cl.clients[m].PullVersionInto(&rt.tr.cs.ctx, cl.addrs[owner], id, want, dst)
-		if payload != nil {
-			dst = payload // may have grown; keep ownership of the buffer
-		}
+		err = cl.clients[m].PullVersionFunc(&rt.tr.cs.ctx, cl.addrs[owner], id, want, decode)
 		if err == nil {
-			break
+			return ex, nil
 		}
 		// Declared after the nil check so the escaping errors.As target
 		// is only allocated on the error path, never per steady pull.
@@ -543,43 +547,11 @@ func (r *stepRun) pullVersioned(e int, want uint64) (*moe.Expert, error) {
 		}
 		owner = next
 	}
-	if err != nil {
-		var fe *transport.FencedEpochError
-		if errors.As(err, &fe) {
-			// The cluster's membership epoch moved past ours: freeze or
-			// catch up (see noteFenced) and degrade this fetch.
-			cl.noteFenced(m, fe)
-		}
-	}
-	if err == nil {
-		cl.staleMu.Lock()
-		var ex *moe.Expert
-		if ent.ex != nil && bytes.Equal(ent.payload, payload) {
-			ex = ent.ex // identical bits: reuse the decoded weights
-		} else if cl.staleInPlace && ent.ex != nil {
-			// Decode into the cached object. Safe: the pull⟺contribute
-			// invariant orders this strictly after every compute that
-			// read the previous version on this machine, and the
-			// staleInPlace gate rules out any path that aliases the
-			// cached object elsewhere.
-			ex, err = decodeExpertInto(ent.ex, payload)
-		} else {
-			ex, err = decodeExpert(payload)
-		}
-		if err == nil {
-			if old := ent.payload; old != nil {
-				ent.spares = append(ent.spares, old)
-			}
-			ent.payload = payload
-			ent.ex = ex
-			ent.step = r.s
-			cl.staleMu.Unlock()
-			return ex, nil
-		}
-		cl.staleMu.Unlock()
-	}
-	if dst != nil {
-		r.returnSpare(e, dst)
+	var fe *transport.FencedEpochError
+	if errors.As(err, &fe) {
+		// The cluster's membership epoch moved past ours: freeze or
+		// catch up (see noteFenced) and degrade this fetch.
+		cl.noteFenced(m, fe)
 	}
 	// Lossless fallback first: a surviving in-sync replica at exactly
 	// the wanted version holds the owner's own published bytes for that
@@ -602,17 +574,6 @@ func (r *stepRun) pullVersioned(e int, want uint64) (*moe.Expert, error) {
 		}
 	}
 	return nil, fmt.Errorf("livecluster: machine %d pull expert %d@%d: %w", m, e, want, err)
-}
-
-// returnSpare gives an unused pull destination buffer back to the
-// (machine, expert) cache entry.
-func (r *stepRun) returnSpare(e int, dst []byte) {
-	cl := r.rt.cl
-	cl.staleMu.Lock()
-	if ent := cl.stale[r.rt.m][e]; ent != nil {
-		ent.spares = append(ent.spares, dst)
-	}
-	cl.staleMu.Unlock()
 }
 
 // runPiece computes piece idx and books its completion; in streamed
@@ -707,13 +668,13 @@ func (r *stepRun) deliver(pe *pieceExpert, g *moe.ExpertGrad) {
 // — and delivers the sum to the owner: locally when this machine owns
 // it, otherwise over the wire with ownership re-resolution. A push that
 // cannot reach the owner is a dropped contribution when StaleFallback
-// degradation is on, fatal otherwise. scratch is the worker's reusable
-// encode buffer.
+// degradation is on, fatal otherwise. The JGR1 encoding is written
+// straight into the transport's request frame, once per owner tried.
 //
 // Reading parts without the run lock is safe: every deliver to this
 // expert happened before the push was enqueued (mutex edges), and the
 // enqueue's channel send happened before this worker's receive.
-func (r *stepRun) doPush(pidx int, scratch *[]byte) {
+func (r *stepRun) doPush(pidx int) {
 	defer r.pushDone()
 	rt := r.rt
 	cl := rt.cl
@@ -726,7 +687,8 @@ func (r *stepRun) doPush(pidx int, scratch *[]byte) {
 	id := transport.ExpertID{Expert: uint32(e)}
 	step := uint64(r.s)
 	owner := cl.ownerFor(rt.m, e)
-	var payload []byte
+	n := trainGradBytes(acc)
+	encode := func(buf []byte) { encodeTrainGradInto(buf, step, rt.m, acc) }
 	var err error
 	for resolve := 0; resolve < 3; resolve++ {
 		if owner == rt.m {
@@ -737,11 +699,7 @@ func (r *stepRun) doPush(pidx int, scratch *[]byte) {
 			}
 			return
 		}
-		if payload == nil {
-			*scratch = encodeTrainGradInto(*scratch, step, rt.m, acc)
-			payload = *scratch
-		}
-		err = cl.clients[rt.m].PushGradient(&rt.tr.cs.ctx, cl.addrs[owner], id, payload)
+		err = cl.clients[rt.m].PushGradientFunc(&rt.tr.cs.ctx, cl.addrs[owner], id, n, encode)
 		if err == nil {
 			break
 		}

@@ -42,13 +42,18 @@ const trainGradMagic = 0x4A475231 // "JGR1"
 // trainGradHeaderBytes is magic + step (u64) + source machine (u32).
 const trainGradHeaderBytes = 4 + 8 + 4
 
+// trainGradBytes is the length of g's JGR1 encoding.
+func trainGradBytes(g *moe.ExpertGrad) int {
+	return trainGradHeaderBytes + 4*(len(g.DW1.Data)+len(g.DW2.Data))
+}
+
 // encodeTrainGradInto serialises one pre-reduced gradient contribution
 // into buf (grown only when too small): header, then DW1 and DW2 as
 // little-endian float32 bit patterns, so a decode reproduces the exact
 // bits that were folded on the sender. Returns the filled slice.
 func encodeTrainGradInto(buf []byte, step uint64, source int, g *moe.ExpertGrad) []byte {
-	n1, n2 := len(g.DW1.Data), len(g.DW2.Data)
-	need := trainGradHeaderBytes + 4*(n1+n2)
+	n1 := len(g.DW1.Data)
+	need := trainGradBytes(g)
 	if cap(buf) < need {
 		buf = make([]byte, need)
 	}

@@ -636,62 +636,76 @@ func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// PullVersionInto fetches an expert's bytes at exactly the given
-// version, appending the payload into dst (grown as needed) and
-// recycling the transport receive buffer before returning, so the
-// steady-state pipelined trainer's version pulls allocate nothing once
-// dst has warmed to the expert's encoded size. The server parks the
-// request until the owner publishes that version (see VersionedStore),
-// which guarantees the pipelined trainer reads the step's exact weights
-// and back-pressures cross-step prefetching. Each call consumes one
-// credit while its wire request is outstanding; transient failures are
-// retried up to the attempt budget, and ctx bounds the whole call.
-func (c *Client) PullVersionInto(ctx context.Context, addr string, id ExpertID, version uint64, dst []byte) ([]byte, error) {
+// PullVersionFunc fetches an expert's bytes at exactly the given
+// version and hands them to use, straight out of the transport receive
+// buffer, which is recycled once use returns: use must not retain the
+// slice. The server parks the request until the owner publishes that
+// version (see VersionedStore), which guarantees the pipelined trainer
+// reads the step's exact weights and back-pressures cross-step
+// prefetching. Each call holds one credit while its wire request is
+// outstanding and returns it before use runs, so credits bound wire
+// requests, not decoding. Transient failures are retried up to the
+// attempt budget and ctx bounds the whole call; an error from use is
+// returned as is and never retried.
+func (c *Client) PullVersionFunc(ctx context.Context, addr string, id ExpertID, version uint64, use func([]byte) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	select {
 	case <-c.credits:
 	case <-c.closedCh:
-		return nil, ErrClosed
+		return ErrClosed
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	defer func() { c.credits <- struct{}{} }()
 	verBuf := getFrameBuf(versionedPullBytes)
 	binary.BigEndian.PutUint64(*verBuf, version)
-	req := frame{typ: msgPullV, id: id, payload: *verBuf}
-	resp, err := c.do(ctx, addr, req)
+	resp, err := c.do(ctx, addr, frame{typ: msgPullV, id: id, payload: *verBuf})
 	frameBufPool.Put(verBuf)
+	c.credits <- struct{}{}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.typ != msgExpert {
 		resp.recycle()
-		return nil, fmt.Errorf("transport: unexpected response type %#x", resp.typ)
+		return fmt.Errorf("transport: unexpected response type %#x", resp.typ)
 	}
-	dst = append(dst[:0], resp.payload...)
+	err = use(resp.payload)
 	resp.recycle()
+	return err
+}
+
+// PullVersionInto is PullVersionFunc appending the payload into dst
+// (grown as needed), so pulls allocate nothing once dst has warmed to
+// the expert's encoded size.
+func (c *Client) PullVersionInto(ctx context.Context, addr string, id ExpertID, version uint64, dst []byte) ([]byte, error) {
+	err := c.PullVersionFunc(ctx, addr, id, version, func(payload []byte) error {
+		dst = append(dst[:0], payload...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return dst, nil
 }
 
-// PushGradient delivers one gradient contribution to the expert's
-// owner and waits for the ack. Retries reuse one retransmission token,
-// so the server applies the gradient exactly once even if an ack was
-// lost and the push retried over a new connection.
-func (c *Client) PushGradient(ctx context.Context, addr string, id ExpertID, payload []byte) error {
+// PushGradientFunc delivers one n-byte gradient contribution to the
+// expert's owner and waits for the ack. encode writes the payload
+// straight into the pooled request frame, after the dedup token; do()
+// copies the frame into the connection buffer synchronously per
+// attempt (batched writes included), so it is recycled as soon as do()
+// returns. Retries resend the same frame with the same token, so the
+// server applies the gradient exactly once even if an ack was lost and
+// the push retried over a new connection.
+func (c *Client) PushGradientFunc(ctx context.Context, addr string, id ExpertID, n int, encode func([]byte)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Pooled token+payload staging buffer: do() copies it into the
-	// connection buffer synchronously per attempt (batched writes
-	// included), so it can be recycled as soon as do() returns. The
-	// dedup token itself is per logical push and survives retries.
-	bp := getFrameBuf(gradTokenBytes + len(payload))
+	bp := getFrameBuf(gradTokenBytes + n)
 	buf := *bp
 	binary.BigEndian.PutUint64(buf[0:8], c.clientID)
 	binary.BigEndian.PutUint64(buf[8:16], c.gradSeq.Add(1))
-	copy(buf[gradTokenBytes:], payload)
+	encode(buf[gradTokenBytes:])
 	resp, err := c.do(ctx, addr, frame{typ: msgGrad, id: id, payload: buf})
 	frameBufPool.Put(bp)
 	if err != nil {
@@ -702,6 +716,12 @@ func (c *Client) PushGradient(ctx context.Context, addr string, id ExpertID, pay
 		return fmt.Errorf("transport: unexpected response type %#x", resp.typ)
 	}
 	return nil
+}
+
+// PushGradient is PushGradientFunc with the payload copied into the
+// frame.
+func (c *Client) PushGradient(ctx context.Context, addr string, id ExpertID, payload []byte) error {
+	return c.PushGradientFunc(ctx, addr, id, len(payload), func(buf []byte) { copy(buf, payload) })
 }
 
 // PingInfo is what a heartbeat learns about the probed peer: the

@@ -97,3 +97,48 @@ func TestPullVersionUnversionedStore(t *testing.T) {
 		t.Fatalf("err = %v, want RemoteError for unversioned store", err)
 	}
 }
+
+// TestPullVersionFuncCreditFreedBeforeUse: a credit bounds outstanding
+// wire requests, not decoding. With a one-credit window, a second pull
+// completes while the first pull's use is still blocked.
+func TestPullVersionFuncCreditFreedBeforeUse(t *testing.T) {
+	store := newMemStore()
+	id := ExpertID{Expert: 4}
+	store.experts[id] = []byte{1, 2, 3}
+	_, addr := startServer(t, store)
+	c := newFastClient(1, 1)
+	defer c.Close()
+
+	inUse, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		first <- c.PullVersionFunc(ctx, addr, id, 0, func([]byte) error {
+			close(inUse)
+			<-release
+			return nil
+		})
+	}()
+	<-inUse
+	second := make(chan error, 1)
+	go func() {
+		second <- c.PullVersionFunc(ctx, addr, id, 0, func(p []byte) error {
+			if !bytes.Equal(p, []byte{1, 2, 3}) {
+				return fmt.Errorf("payload %v", p)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("second pull blocked on the credit held by the first pull's use")
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+}
